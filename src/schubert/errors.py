@@ -38,18 +38,22 @@ class ZeroVector(SchubertError):
 
 
 class ConvergenceFailure(SchubertError):
-    """An iterative routine exhausted its retry or rewrite budget."""
+    """A numerical engine could not reproduce its input within tolerance.
+
+    Raised when a reconstruction residual or a structural law fails on an
+    input that passed the membership checks; the subclasses name the law.
+    """
 
 
 class NotInModel(SchubertError):
     """Input is not in the requested compact model within tolerance."""
 
 
-class StructureViolation(SchubertError):
+class StructureViolation(ConvergenceFailure):
     """A structural law of the skew factorization failed beyond tolerance."""
 
 
-class RealAxisExtractionFailure(SchubertError):
+class RealAxisExtractionFailure(ConvergenceFailure):
     """A factor axis that should be real (up to phase) is not."""
 
 

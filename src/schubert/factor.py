@@ -3,7 +3,13 @@
 Every special unitary matrix has a unique factorization into
 pseudo-rotations whose axis min-indices strictly increase; the tuple of
 those indices (entries 1 dropped into a leading correction factor) is the
-Schubert symbol of the matrix and names its Schubert cell.  The symmetric
+Schubert symbol of the matrix and names its Schubert cell.  The general
+engine reads that factorization off directly, inverting the forward cell
+map: row j of the matrix determines the factor with min-index j, which is
+then peeled off by a rank-1 update, for j = n down to 2.  A second peel
+of a slightly perturbed copy tells whether the symbol is stable under
+rounding; near a cell boundary it may not be, and the result is then
+flagged boundary-ambiguous.  The symmetric
 and skew-symmetric Cartan models carry analogous unique factorizations:
 half-angle real-axis factors applied by iterated Cartan conjugation, and
 quaternionic pairs ``(A, sigma(A*))`` peeled off two at a time.
@@ -14,6 +20,7 @@ used throughout the test suite.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -35,22 +42,19 @@ from .numlin import (
     as_square_matrix,
     check_unitary,
     haar_sample,
-    hermitian_inner,
     jn,
-    unitary_eigenspaces,
 )
 from .rotor import (
     TAU,
     PseudoRotation,
     apply,
-    canonical_axis,
     check_class,
     in_cartan_model,
     jmul,
     min_index,
     sigma,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig, in_gray_zone
+from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
 
 
 def validate_symbol_entries(entries: Sequence[int], ambient: int, klass: str) -> tuple[int, ...]:
@@ -161,101 +165,6 @@ def _check_su(b, tol: ToleranceConfig) -> np.ndarray:
     return b
 
 
-def _tail_gray(axis: np.ndarray, k: int, tol: ToleranceConfig) -> bool:
-    """Gray-zone check for the min-index decision of a unit axis.
-
-    The operative zero threshold for axis coordinates is the snapping
-    threshold of ``canonical_axis``, so ambiguity is measured around that;
-    the span is narrower than for angles because the snap already absorbs
-    the expected near-boundary contamination.
-    """
-    mags = np.abs(axis)
-    if in_gray_zone(mags[k - 1], tol.axis_snap, span=4.0):
-        return True
-    return bool(np.any([in_gray_zone(m, tol.axis_snap, span=4.0) for m in mags[k:]]))
-
-
-def flag_adapted_basis(
-    basis: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[list[np.ndarray], bool]:
-    """Orthonormal basis of span(columns) with strictly increasing min-indices.
-
-    Repeatedly reduces each vector against the already placed one with the
-    same min-index, which realizes the intersection of the space with the
-    smallest flag subspace meeting it; a final Gram-Schmidt pass in
-    ascending min-index order restores orthonormality without disturbing
-    the indices.
-    """
-    placed: dict[int, np.ndarray] = {}
-    gray = False
-    for i in range(basis.shape[1]):
-        w = np.array(basis[:, i], dtype=np.complex128)
-        while True:
-            nrm = float(np.linalg.norm(w))
-            if nrm <= tol.tol_zero:
-                raise ConvergenceFailure("flag adaptation lost a basis vector")
-            w = w / nrm
-            k = min_index(w, tol)
-            gray = gray or _tail_gray(w, k, tol)
-            if k not in placed:
-                placed[k] = w
-                break
-            w = w - (w[k - 1] / placed[k][k - 1]) * placed[k]
-    axes: list[np.ndarray] = []
-    for k in sorted(placed):
-        w = placed[k]
-        for prev in axes:
-            w = w - hermitian_inner(w, prev) * prev
-        w = w / np.linalg.norm(w)
-        axes.append(w)
-    return [canonical_axis(w, tol) for w in axes], gray
-
-
-def _initial_factors(
-    b: np.ndarray, tol: ToleranceConfig, seed: int
-) -> tuple[list[PseudoRotation], bool]:
-    """Commuting eigen-factorization sorted by min-index."""
-    clusters, gray = unitary_eigenspaces(b, tol, seed)
-    factors: list[PseudoRotation] = []
-    for cl in clusters:
-        axes, g = flag_adapted_basis(cl.basis, tol)
-        gray = gray or g
-        factors.extend(PseudoRotation(cl.angle, ax) for ax in axes)
-    factors.sort(key=lambda f: (f.min_index(tol), f.theta))
-    return factors, gray
-
-
-def _ordered_rewrite(
-    factors: list[PseudoRotation], n: int, tol: ToleranceConfig
-) -> list[PseudoRotation]:
-    """Whitehead bubble pass: rewrite until min-indices strictly increase.
-
-    Each same-index rewrite strictly lowers the index sum, and between such
-    events the rewrites only reduce inversions of a fixed multiset, so the
-    budget n*k^2 bounds the work for well-posed inputs.
-    """
-    from .rotor import whitehead_interchange
-
-    work = list(factors)
-    mins = [f.min_index(tol) for f in work]
-    budget = n * max(1, len(work)) ** 2 + 16
-    used = 0
-    while True:
-        j = -1
-        for i in range(len(work) - 1):
-            if mins[i] >= mins[i + 1]:
-                j = i
-        if j < 0:
-            return work
-        used += 1
-        if used > budget:
-            raise ConvergenceFailure(f"interchange budget {budget} exhausted")
-        first, second, _ = whitehead_interchange(work[j], work[j + 1], tol)
-        repl = [f for f in (first, second) if f is not None and not f.is_identity(tol)]
-        work[j : j + 2] = repl
-        mins[j : j + 2] = [f.min_index(tol) for f in repl]
-
-
 def _split_correction(
     work: list[PseudoRotation], tol: ToleranceConfig
 ) -> tuple[Optional[PseudoRotation], list[PseudoRotation]]:
@@ -266,35 +175,116 @@ def _split_correction(
     return None, work
 
 
-def _angle_gray(factors: Sequence[PseudoRotation], tol: ToleranceConfig) -> bool:
-    return any(in_gray_zone(f.theta, tol.tol_angle) for f in factors)
+def _peel_rows(
+    w: np.ndarray, tol: ToleranceConfig
+) -> tuple[list[PseudoRotation], float, np.ndarray, bool]:
+    """Peel the factors with min-index >= 2 off the right of the unitary
+    ``w``, reading each from the bottom row it still moves.
+
+    Returns the factors in product order, the correction angle left at
+    ``w[0, 0]``, the deviation norm of every row at the moment it was read
+    (entry j-1 for row j) and whether a thresholded quantity landed in its
+    gray zone.  Rows below j that a factor moves and no later factor
+    touches are multiples of the same axis; the angle is fitted over all
+    of them, which keeps it well conditioned when the pivot of row j is
+    small but the line has weight in those rows.
+    """
+    n = w.shape[0]
+    w = w.copy()
+    gray = False
+    factors: list[PseudoRotation] = []
+    devs = np.zeros(n)
+    for j in range(n, 1, -1):
+        dev = -np.conj(w[j - 1, :j])
+        dev[j - 1] += 1.0
+        d = float(np.linalg.norm(dev))
+        devs[j - 1] = d
+        gray = gray or in_gray_zone(d, tol.tol_angle)
+        if d < tol.tol_angle:
+            continue
+        x = dev / d
+        gray = gray or in_gray_zone(abs(x[j - 1]), tol.axis_snap, span=4.0)
+        # row r carries conj(1 - e^(i theta)) conj(x_r) x while it is a
+        # multiple of x; fit conj(1 - e^(i theta)) over those rows
+        num, den = x[j - 1] * d, abs(x[j - 1]) ** 2
+        for r in range(j - 1, 1, -1):
+            dr = -np.conj(w[r - 1, :j])
+            dr[r - 1] += 1.0
+            cr = np.vdot(x, dr)
+            if np.linalg.norm(dr - cr * x) >= tol.tol_angle:
+                break
+            num += x[r - 1] * cr
+            den += abs(x[r - 1]) ** 2
+        axis = np.concatenate([x, np.zeros(n - j, dtype=np.complex128)])
+        f = PseudoRotation(-float(np.angle(1.0 - num / den)), axis)
+        w -= (1.0 - np.exp(-1j * f.theta)) * np.outer(w @ f.axis, np.conj(f.axis))
+        factors.append(f)
+    factors.reverse()
+    phi = float(np.angle(w[0, 0]))
+    return factors, phi, devs, gray or in_gray_zone(phi, tol.tol_angle)
 
 
-def factorize_su(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> OrderedFactorization:
+#: Size of the probing perturbation in :func:`factorize_su`, in units of
+#: n times the machine epsilon.
+PROBE_SCALE = 64.0
+
+
+@functools.lru_cache(maxsize=None)
+def _probe(n: int) -> np.ndarray:
+    """Fixed unitary ``I + i eta H`` (H Hermitian of unit norm, eta =
+    PROBE_SCALE n eps), unitary to order eta^2."""
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = h + h.conj().T
+    eta = PROBE_SCALE * n * float(np.finfo(np.float64).eps)
+    return np.eye(n) + (1j * eta / np.linalg.norm(h, 2)) * h
+
+
+def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Unique increasing ordered factorization of a special unitary matrix.
 
-    Eigen-factors (identity eigenvalues dropped) are flag-adapted within
-    each eigenspace and then reordered by Whitehead interchanges until the
-    min-indices strictly increase; a min-index-1 factor is folded into the
-    leading correction and excluded from the Schubert symbol.
+    Inverts the forward cell map row by row.  A factor with min-index below
+    j fixes ``e_j^T`` from the left, so in ``B = C A_1 ... A_k`` row j is
+    ``e_j^T`` unless the last factor has min-index j, and then it reads
+    ``conj(e_j - (1 - e^(-i theta)) x_j x)``.  For j = n, ..., 2 the axis of
+    that factor is read off row j of the unitary polar factor W of the
+    input, its angle is fitted over row j and the rows below it that are
+    multiples of the axis, and the factor is peeled off the right of W by a
+    rank-1 update; the phase left at W[0, 0] is the min-index-1 correction,
+    which is excluded from the Schubert symbol.
+
+    ``boundary_ambiguous`` is raised when a row deviation, a pivot
+    coordinate or the correction angle lands in the gray zone of its
+    threshold, or when the symbol is not stable under rounding.  A small
+    pivot makes the angle read off its row sensitive to rounding, and the
+    error of one factor moves the rows read after it, so near a cell
+    boundary a row no factor owns can read as an extra factor.  To detect
+    that, W is peeled a second time after a fixed unitary perturbation of
+    size ``PROBE_SCALE * n * eps``: the result is flagged when the two
+    peels disagree on the symbol, or when a row deviation moved by at
+    least ``tol_angle / GRAY_SPAN`` and is within GRAY_SPAN times that
+    movement of zero.
     """
     b = _check_su(b, tol)
     n = b.shape[0]
-    initial, gray = _initial_factors(b, tol, seed)
-    work = _ordered_rewrite(initial, n, tol)
-    mins = [f.min_index(tol) for f in work]
+    u, _, vh = np.linalg.svd(b)
+    w = u @ vh
+    factors, phi, devs, gray = _peel_rows(w, tol)
+    mins = [f.min_index(tol) for f in factors]
     if any(y <= x for x, y in zip(mins, mins[1:])):
-        raise ConvergenceFailure(f"rewrite left non-monotone indices {mins}")
-    gray = gray or _angle_gray(work, tol)
-    correction, factors = _split_correction(work, tol)
+        raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
+    probe, _, probe_devs, probe_gray = _peel_rows(w @ _probe(n), tol)
+    moved = np.abs(devs - probe_devs)
+    noisy = (moved >= tol.tol_angle / GRAY_SPAN) & (
+        np.minimum(devs, probe_devs) < GRAY_SPAN * moved
+    )
+    gray = gray or probe_gray or bool(noisy.any()) or [f.min_index(tol) for f in probe] != mins
     fact = OrderedFactorization(
         klass="general",
         order="increasing",
         ambient=n,
         factors=tuple(factors),
-        correction=correction,
+        correction=PseudoRotation(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None,
         boundary_ambiguous=gray,
     )
     residual = float(np.linalg.norm(fact.matrix() - b))
@@ -303,9 +293,7 @@ def factorize_su(
     return replace(fact, residual=residual)
 
 
-def factorize_decreasing(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> OrderedFactorization:
+def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Ordered factorization with decreasing min-indices.
 
     Obtained by factorizing B^-1 in increasing order and inverting each
@@ -313,7 +301,7 @@ def factorize_decreasing(
     right end of the product.
     """
     b = _check_su(b, tol)
-    inc = factorize_su(b.conj().T, tol, seed)
+    inc = factorize_su(b.conj().T, tol)
     flat = inc.all_factors()
     dec = tuple(PseudoRotation(-f.theta, f.axis) for f in reversed(flat))
     fact = OrderedFactorization(
@@ -392,15 +380,13 @@ class InvarianceReport:
         return all(s.entries == e for s in (self.inverse, self.conjugate, self.transpose))
 
 
-def symbol_invariance_check(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> InvarianceReport:
+def symbol_invariance_check(b, tol: ToleranceConfig = DEFAULT_TOL) -> InvarianceReport:
     b = _check_su(b, tol)
     return InvarianceReport(
-        original=factorize_su(b, tol, seed).symbol(tol),
-        inverse=factorize_su(b.conj().T, tol, seed).symbol(tol),
-        conjugate=factorize_su(np.conj(b), tol, seed).symbol(tol),
-        transpose=factorize_su(b.T, tol, seed).symbol(tol),
+        original=factorize_su(b, tol).symbol(tol),
+        inverse=factorize_su(b.conj().T, tol).symbol(tol),
+        conjugate=factorize_su(np.conj(b), tol).symbol(tol),
+        transpose=factorize_su(b.T, tol).symbol(tol),
     )
 
 
@@ -421,9 +407,7 @@ def _real_axis(x: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return r.astype(np.complex128)
 
 
-def factorize_symmetric(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> OrderedFactorization:
+def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Ordered symmetric factorization ``B = C_1 ... C_k C_k ... C_1`` of a
     symmetric special unitary matrix by half-angle real-axis rotations.
 
@@ -434,7 +418,7 @@ def factorize_symmetric(
     b = as_square_matrix(b)
     if not in_cartan_model(b, "symmetric", tol):
         raise NotInModel("matrix is not symmetric unitary with det 1")
-    dec = factorize_decreasing(b, tol, seed)
+    dec = factorize_decreasing(b, tol)
     work = list(reversed(dec.factors))
     halves: list[PseudoRotation] = []
     for i in range(len(work)):
@@ -459,9 +443,7 @@ def factorize_symmetric(
     return replace(fact, residual=residual)
 
 
-def factorize_skew(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> OrderedFactorization:
+def factorize_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Ordered skew-symmetric factorization of a skew Cartan model element
     ``B = A_1 ... A_r sigma(A_r*) ... sigma(A_1*)``.
 
@@ -475,7 +457,7 @@ def factorize_skew(
     b = as_square_matrix(b)
     if not in_cartan_model(b, "skew", tol):
         raise NotInModel("matrix is not in the skew Cartan model")
-    dec = factorize_decreasing(b, tol, seed)
+    dec = factorize_decreasing(b, tol)
     work = list(reversed(dec.factors))
     if len(work) % 2 != 0:
         raise StructureViolation(f"odd factor count {len(work)}")

@@ -113,15 +113,13 @@ class CellIdentification:
         return self.witness.T @ self.compact_part @ self.witness
 
 
-def identify_general(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> CellIdentification:
+def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     """Schubert cell of an element of SL_n: Iwasawa-split B = A . C and
     factorize the special unitary part."""
     elem = b if isinstance(b, FiberElement) else FiberElement(b, "general", tol)
     mat = elem.matrix
     parts = iwasawa_split(mat, tol)
-    fact = factorize_su(parts.unitary, tol, seed)
+    fact = factorize_su(parts.unitary, tol)
     residual = float(np.linalg.norm(parts.unitary @ parts.solvable - mat))
     return CellIdentification(
         symbol=fact.symbol(tol),
@@ -287,9 +285,7 @@ def undress_skew(b, tol: ToleranceConfig = DEFAULT_TOL):
     return (compact, e) if ok else None
 
 
-def identify_symmetric(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> CellIdentification:
+def identify_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     """Schubert cell of a symmetric fiber element.
 
     A compact-model input is factorized in place; otherwise the
@@ -311,7 +307,7 @@ def identify_symmetric(
             c = diagonalize_quadratic_form(mat, tol)
             parts = iwasawa_split(np.linalg.inv(c), tol)
             compact, e = parts.unitary.T @ parts.unitary, parts.solvable
-    fact = factorize_symmetric(compact, tol, seed)
+    fact = factorize_symmetric(compact, tol)
     residual = float(np.linalg.norm(e.T @ compact @ e - mat))
     return CellIdentification(
         symbol=fact.symbol(tol),
@@ -323,9 +319,7 @@ def identify_symmetric(
     )
 
 
-def identify_skew(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> CellIdentification:
+def identify_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     """Schubert cell of a skew-symmetric fiber element (Pf = 1).
 
     A compact-model input is factorized in place; otherwise the
@@ -349,7 +343,7 @@ def identify_skew(
             c = normalize_skew_form(mat, tol)
             parts = iwasawa_split(np.linalg.inv(c), tol)
             compact, e = parts.unitary.T @ j @ parts.unitary, parts.solvable
-    fact = factorize_skew(compact @ (-j), tol, seed)  # J^-1 = -J
+    fact = factorize_skew(compact @ (-j), tol)  # J^-1 = -J
     residual = float(np.linalg.norm(e.T @ compact @ e - mat))
     return CellIdentification(
         symbol=fact.symbol(tol),
@@ -361,15 +355,13 @@ def identify_skew(
     )
 
 
-def identify(
-    b, klass: str, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> CellIdentification:
+def identify(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     check_class(klass)
     if klass == "general":
-        return identify_general(b, tol, seed)
+        return identify_general(b, tol)
     if klass == "symmetric":
-        return identify_symmetric(b, tol, seed)
-    return identify_skew(b, tol, seed)
+        return identify_symmetric(b, tol)
+    return identify_skew(b, tol)
 
 
 @dataclass(frozen=True)
@@ -385,7 +377,7 @@ class SolInvarianceReport:
 
 
 def sol_invariance_check(
-    b, e, klass: str, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
+    b, e, klass: str, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SolInvarianceReport:
     """Check the symbol is invariant under the solvable-group action:
     right multiplication B . E for the general class, the congruence
@@ -402,8 +394,8 @@ def sol_invariance_check(
     elem = b if isinstance(b, FiberElement) else FiberElement(b, klass, tol)
     mat = elem.matrix
     moved = mat @ e if klass == "general" else e.T @ mat @ e
-    before = identify(mat, klass, tol, seed)
-    after = identify(moved, klass, tol, seed)
+    before = identify(mat, klass, tol)
+    after = identify(moved, klass, tol)
     return SolInvarianceReport(symbol=before.symbol, symbol_after=after.symbol)
 
 

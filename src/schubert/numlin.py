@@ -1,9 +1,11 @@
 """Dense complex linear algebra kernels.
 
 Hermitian inner products, the Iwasawa (unitary * solvable) splitting of
-determinant-one matrices, eigendecomposition of unitary matrices,
-Pfaffians, congruence normalization of symmetric and skew-symmetric
-bilinear forms, and seeded random samplers for the matrix classes.
+determinant-one matrices, Pfaffians, congruence normalization of symmetric
+and skew-symmetric bilinear forms, and seeded random samplers for the
+matrix classes.  The factorization engines do not diagonalize: they read
+factors off row by row (see :mod:`schubert.factor`).  ``eig_unitary``
+remains an exported kernel of the package.
 
 Conventions:
   * the Hermitian form is ``<x, y> = x^T conj(y)`` (column vectors);
@@ -28,7 +30,7 @@ from .errors import (
     OddDimension,
     SingularInput,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig, in_gray_zone
+from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 #: classes accepted by :func:`haar_sample`
 SAMPLE_CLASSES = ("special_unitary", "sl", "sym_fiber", "skew_fiber")
@@ -129,7 +131,6 @@ class UnitaryEigen:
     values   unit-modulus eigenvalues, one per column of ``vectors``
     vectors  orthonormal eigenvectors (columns)
     flags    True where the eigenvalue is 1 within the angle threshold
-             (such factors are dropped by the factorization engines)
     """
 
     values: np.ndarray
@@ -168,57 +169,6 @@ def eig_unitary(b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> Unitary
     raise ConvergenceFailure(
         f"eigenbasis not found after 5 draws (off-diagonal mass {last_off:.3g})"
     )
-
-
-@dataclass(frozen=True)
-class EigenCluster:
-    """A merged eigenspace: common angle and an orthonormal basis (columns)."""
-
-    angle: float
-    basis: np.ndarray
-
-
-def unitary_eigenspaces(
-    b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-) -> tuple[list[EigenCluster], bool]:
-    """Cluster the eigendecomposition of a unitary matrix by eigenvalue angle.
-
-    Eigenvalues within ``tol_angle`` of each other are merged into a single
-    eigenspace; clusters with angle 0 (identity action) are dropped.  Returns
-    the non-identity clusters sorted by angle and a boundary-ambiguity flag
-    raised when some cluster angle sits in the gray zone around the
-    drop-or-keep threshold.
-    """
-    eig = eig_unitary(b, tol, seed)
-    n = b.shape[0] if hasattr(b, "shape") else len(b)
-    angles = np.angle(eig.values)
-    order = np.argsort(angles, kind="stable")
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and angles[idx] - angles[groups[-1][-1]] < tol.tol_angle:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    # wrap-around: angles near +pi and -pi describe the same eigenvalue
-    if len(groups) > 1:
-        lo, hi = groups[0], groups[-1]
-        if (angles[lo[0]] + 2 * np.pi) - angles[hi[-1]] < tol.tol_angle:
-            groups[-1] = hi + lo
-            groups.pop(0)
-    clusters: list[EigenCluster] = []
-    gray = False
-    for grp in groups:
-        mean = complex(np.sum(eig.values[grp]))
-        theta = float(np.angle(mean))
-        gray = gray or in_gray_zone(theta, tol.tol_angle)
-        if abs(theta) < tol.tol_angle:
-            continue
-        clusters.append(EigenCluster(angle=theta, basis=eig.vectors[:, grp].copy()))
-    clusters.sort(key=lambda c: c.angle)
-    total = sum(c.basis.shape[1] for c in clusters)
-    if total > n:
-        raise ConvergenceFailure("eigenspace clustering produced too many vectors")
-    return clusters, gray
 
 
 def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:

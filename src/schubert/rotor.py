@@ -3,8 +3,8 @@
 A pseudo-rotation ``A_(theta, x)`` multiplies the complex line spanned by
 the unit vector ``x`` by ``e^(i theta)`` and fixes its orthogonal
 hyperplane; in matrix form ``I - (1 - e^(i theta)) x conj(x)^T``.  This
-module provides the Whitehead interchange used to reorder products of
-pseudo-rotations against the standard flag, the quaternionic structure
+module provides the Whitehead interchange, the lemma that reorders a product
+of two pseudo-rotations against the standard flag, the quaternionic structure
 ``j x = J conj(x)`` on C^(2n) with its H-pseudo-rotations, and the Cartan
 conjugacy actions for the three matrix classes.
 """

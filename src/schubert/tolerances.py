@@ -34,10 +34,12 @@ class ToleranceConfig:
         """Relative threshold below which axis coordinates are snapped to
         zero inside the factorization engines (100x residual).
 
-        Near a cell boundary an input known to residual accuracy carries
-        eigenvector contamination of order residual / eigengap, so the
-        snapping level must sit well above the residual tolerance; genuine
-        interior chart coordinates are many orders of magnitude larger.
+        An axis read off a row of an input known to residual accuracy
+        carries rounding of that order in every coordinate, so the snapping
+        level sits well above the residual tolerance; genuine interior chart
+        coordinates are many orders of magnitude larger.  A pivot coordinate
+        within a factor of 4 of this level flags the result as
+        boundary-ambiguous.
         """
         return 100.0 * self.tol_residual
 

@@ -92,6 +92,19 @@ class TestSymbolCommand:
         assert out.returncode == 3
         assert json.loads(out.stdout)["boundary_ambiguous"] is True
 
+    def test_structure_violation_exit_4(self, tmp_path, monkeypatch):
+        from schubert import cli, milnor
+        from schubert.errors import StructureViolation
+
+        def fail(*args, **kwargs):
+            raise StructureViolation("j-partner deviates")
+
+        monkeypatch.setattr(milnor, "factorize_skew", fail)
+        doc = MatrixDocument(n=4, klass="skew", rows=numlin.jn(2))
+        path = tmp_path / "skew.json"
+        path.write_text(doc.to_json())
+        assert cli.main(["symbol", "--in", str(path)]) == 4
+
 
 class TestSampleCommand:
     def test_identity_document(self):

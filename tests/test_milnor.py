@@ -208,3 +208,21 @@ class TestPlantedRecovery:
             for _ in range(2):
                 b = fiber_sample(sym, rng, dress=True)
                 assert identify(b, klass).symbol.entries == entries
+
+
+class TestEngineRegressions:
+    """Planted points that an eigendecomposition-based engine misidentified
+    or rejected; row peeling returns the planted symbol with no flag."""
+
+    @pytest.mark.parametrize("entries,n,klass,seed,dress", [
+        (tuple(range(2, 25)), 24, "general", 309, True),
+        ((3, 4, 5, 6, 7, 8), 8, "symmetric", 285327609, True),
+        ((3, 4), 8, "skew", 377746077, True),
+        ((2, 3), 8, "skew", 721265498, True),
+        ((2, 3, 5, 6), 12, "skew", 2145285061, True),
+        ((2, 3, 4, 5, 7, 8), 8, "symmetric", 1266165986, True),
+        (tuple(range(2, 9)), 16, "skew", 135, False),
+    ])
+    def test_planted_symbol(self, entries, n, klass, seed, dress):
+        b = fiber_sample(SchubertSymbol(entries, n, klass), seed, dress=dress)
+        assert identify(b, klass).symbol.entries == entries
