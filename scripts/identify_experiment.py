@@ -21,7 +21,7 @@ def main() -> None:
     ap.add_argument("--skew-max-n", type=int, default=3)
     ap.add_argument("--draws", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--dress", action="store_true", default=True)
+    ap.add_argument("--dress", action=argparse.BooleanOptionalAction, default=True)
     args = ap.parse_args()
 
     counter = args.seed

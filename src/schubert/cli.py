@@ -34,6 +34,14 @@ EXIT_BOUNDARY = 3
 EXIT_CONVERGENCE = 4
 EXIT_VERIFY = 5
 
+# `cells` and `betti` hold all 2^(n-1) symbols in memory: at n = 18 that is
+# about 60 MB and 1.4 s, and every further step doubles both.
+MAX_TABLE_N = 20
+# `sample` and `verify` build dense complex matrices of this size at most;
+# the identification is exercised up to n = 32, and at n = 48-64 the fiber's
+# determinant gate already rejects some of its own samples.
+MAX_MATRIX_N = 64
+
 
 def parse_symbol(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -50,6 +58,12 @@ def make_tol(value: float | None) -> ToleranceConfig:
         tol_residual=value,
         tol_angle=min(10.0 * value, 0.5),
     )
+
+
+def _check_cap(n: int, cap: int) -> None:
+    """Refuse a size whose memory or time would grow without bound."""
+    if n > cap:
+        raise ValueError(f"--n {n} is above the cap {cap}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,6 +146,7 @@ def cmd_symbol(args) -> int:
 
 def cmd_sample(args) -> int:
     entries = parse_symbol(args.symbol)
+    _check_cap(args.n, MAX_MATRIX_N if args.klass != "skew" else MAX_MATRIX_N // 2)
     ambient = args.n if args.klass != "skew" else 2 * args.n
     sym = SchubertSymbol(entries, ambient, args.klass)
     mat = fiber_sample(sym, seed=args.seed, dress=args.dress_solvable)
@@ -141,6 +156,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_cells(args) -> int:
+    _check_cap(args.n, MAX_TABLE_N)
     bound = args.n
     ambient = args.n if args.klass != "skew" else 2 * args.n
     for entries in cohom.enumerate_symbols(bound, args.klass):
@@ -151,6 +167,7 @@ def cmd_cells(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    _check_cap(args.n, MAX_TABLE_N)
     ring = args.ring or ("Z2" if args.klass == "symmetric" else "Z")
     table = cohom.betti_table(args.n, args.klass, ring)
     poly = cohom.poincare_polynomial(args.n, args.klass)
@@ -182,6 +199,7 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_cap(args.n, MAX_MATRIX_N)
     results = run_suites(args.suite, args.n, args.trials, args.seed)
     failures = []
     for r in results:

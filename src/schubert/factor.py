@@ -59,6 +59,8 @@ from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
 
 def validate_symbol_entries(entries: Sequence[int], ambient: int, klass: str) -> tuple[int, ...]:
     check_class(klass)
+    if ambient < (2 if klass == "skew" else 1):
+        raise InvalidSymbol(f"ambient dimension {ambient} is too small for the {klass} class")
     out = tuple(int(m) for m in entries)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise InvalidSymbol(f"entries must strictly increase, got {out}")

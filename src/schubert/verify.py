@@ -1,8 +1,12 @@
-"""Seeded invariant suites behind ``cmd_verify``.
+"""Seeded invariant checks behind ``schubert verify`` and the acceptance gate.
 
-Each suite distills the documented invariants of one module into seeded
-batch checks returning :class:`CheckResult` rows; the CLI aggregates them
-deterministically, so identical flags and seed give byte-identical output.
+Every invariant that both check is one ``check_*`` function here.  It takes
+its sizes, a trial count, a bound and a base seed, as far as they apply, and
+returns its failures: tuples naming the inputs that broke the invariant.
+Random inputs come from one generator per size, ``default_rng(seed + n)``,
+or from a running seed, so a check draws the same inputs whatever runs
+before it.  The suites turn the failures into :class:`CheckResult` rows;
+identical flags and seed give byte-identical output.
 """
 from __future__ import annotations
 
@@ -11,28 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cohom
-from .factor import (
-    SchubertSymbol,
-    cartan_model_sample,
-    cell_sample,
-    factorize_decreasing,
-    factorize_skew,
-    factorize_su,
-    factorize_symmetric,
-    symbol_invariance_check,
-)
-from .milnor import (
-    closure_product_check,
-    dressing_sample,
-    fiber_sample,
-    identify,
-    sol_invariance_check,
-)
+from .factor import (SchubertSymbol, cartan_model_sample, factorize_decreasing, factorize_skew,
+                     factorize_su, factorize_symmetric, symbol_invariance_check)
+from .milnor import (closure_product_check, dressing_sample, fiber_sample, identify,
+                     sol_invariance_check)
 from .numlin import haar_sample, hermitian_inner, jn, pfaffian
-from .rotor import PseudoRotation, jmul, product_matrix, whitehead_interchange
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .rotor import PseudoRotation, apply, jmul, product_matrix, whitehead_interchange
+from .tolerances import DEFAULT_TOL
 
 SUITES = ("rotor", "factor", "milnor", "cohom", "all")
+
+ENGINES = {"general": factorize_su, "symmetric": factorize_symmetric, "skew": factorize_skew}
+FIBER_SAMPLERS = {"general": "sl", "symmetric": "sym_fiber", "skew": "skew_fiber"}
 
 
 @dataclass(frozen=True)
@@ -41,6 +35,207 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _row(suite: str, name: str, failures: list, detail: str = "") -> CheckResult:
+    detail = detail or f"{len(failures)} failures"
+    if failures:
+        detail += f"; first {failures[0]}"
+    return CheckResult(suite, name, not failures, detail)
+
+
+def class_sizes(n: int, klass: str) -> list[int]:
+    """Matrix sizes 2..n of the class; skew matrices are even and at least 4."""
+    return [d for d in range(2, n + 1) if klass != "skew" or (d % 2 == 0 and d >= 4)]
+
+
+def check_factorization(klass: str, sizes, trials: int, bound: float, seed: int):
+    """Compact-model samples factor into non-trivial factors of increasing
+    min-index, within ``bound * n``; returns the failures and worst residual."""
+    failures, worst = [], 0.0
+    for n in sizes:
+        rng = np.random.default_rng(seed + n)
+        for t in range(trials):
+            compact = cartan_model_sample(n, klass, rng)
+            fact = ENGINES[klass](compact)
+            res = float(np.linalg.norm(fact.matrix() - compact))
+            worst = max(worst, res)
+            mins = fact.min_indices()
+            if res > bound * n:
+                failures.append((klass, n, t, "compact", res))
+            elif (any(x >= y for x, y in zip(mins, mins[1:]))
+                  or any(abs(f.theta) < DEFAULT_TOL.tol_angle for f in fact.factors)):
+                failures.append((klass, n, t, "order", mins))
+    return failures, worst
+
+
+def check_identification(klass: str, sizes, trials: int, bound: float, seed: int):
+    """Haar fiber samples B are identified within ``bound * n * max(1, |B|)``;
+    returns the failures and the worst residual over ``max(1, |B|)``."""
+    failures, worst = [], 0.0
+    for n in sizes:
+        rng = np.random.default_rng(seed + n)
+        for t in range(trials):
+            b = haar_sample(n, FIBER_SAMPLERS[klass], rng)
+            cid = identify(b, klass)
+            res = float(np.linalg.norm(cid.reconstruction() - b))
+            scale = max(1.0, np.linalg.norm(b))
+            worst = max(worst, res / scale)
+            if res > bound * n * scale:
+                failures.append((klass, n, t, "fiber", res))
+    return failures, worst
+
+
+def check_symbol_invariance(sizes, trials: int, seed: int) -> list:
+    """A Haar special unitary B has the symbol of B^-1, conj(B) and B^T."""
+    failures = []
+    for n in sizes:
+        rng = np.random.default_rng(seed + n)
+        for t in range(trials):
+            report = symbol_invariance_check(haar_sample(n, "special_unitary", rng))
+            if not report.equal:
+                failures.append((n, t, report))
+    return failures
+
+
+def check_cell_round_trip(tops: dict, draws: int, seed: int, dresses=(False, True)) -> list:
+    """Samples of every cell up to the bounds in ``tops`` (half-dimensions for
+    the skew class) are identified as that cell, unflagged; the k-th sample
+    has seed ``seed + k``."""
+    failures = []
+    counter = seed
+    for klass, bounds in tops.items():
+        for top in bounds:
+            ambient = top if klass != "skew" else 2 * top
+            for entries in cohom.enumerate_symbols(top, klass):
+                sym = SchubertSymbol(entries, ambient, klass)
+                for dress in dresses:
+                    for _ in range(draws):
+                        counter += 1
+                        b = fiber_sample(sym, seed=counter, dress=dress)
+                        cid = identify(b, klass)
+                        if cid.symbol.entries != entries:
+                            failures.append((klass, entries, dress, counter, cid.symbol.entries))
+                        elif cid.boundary_ambiguous:
+                            failures.append((klass, entries, dress, counter, "boundary-flag"))
+    return failures
+
+
+def check_skew_structure_law(sizes, trials: int, seed: int) -> list:
+    """Skew compact-model factors pair up as (A, sigma(A*)) with min-indices
+    (2m-1, 2m), checked stage by stage independently of the skew engine, and
+    the general symbol is the doubled skew symbol up to a leading 2 (Cor. 5.10)."""
+    failures = []
+    for n in sizes:
+        rng = np.random.default_rng(seed + n)
+        for t in range(trials):
+            b = cartan_model_sample(n, "skew", rng)
+            fact = factorize_skew(b)
+            work = list(reversed(factorize_decreasing(b).factors))
+            stage_fail = len(work) % 2 == 1
+            while work and not stage_fail:
+                a1, a2 = work[0], work[1]
+                m1 = a1.min_index()
+                partner = PseudoRotation(a1.theta, jmul(a1.axis))
+                if (m1 % 2 != 1 or a2.min_index() != m1 + 1
+                        or np.linalg.norm(a2.matrix() - partner.matrix()) > 1e-8):
+                    stage_fail = True
+                    break
+                inv = a1.inverse()
+                work = [PseudoRotation(f.theta, apply(inv, f.axis)) for f in work[2:]]
+            if stage_fail:
+                failures.append((n, t, "pairing"))
+                continue
+            paired = tuple(x for m in fact.symbol().entries for x in (2 * m - 1, 2 * m))
+            su = factorize_su(b).symbol().entries
+            if su not in (paired, (2,) + paired):
+                failures.append((n, t, "Cor 5.10", su, paired))
+    return failures
+
+
+def check_betti_numbers(sizes) -> list:
+    """Cell counts per degree equal the independently expanded Poincare
+    polynomial (mod 2 for the symmetric class)."""
+    rings = (("general", "Z"), ("symmetric", "Z2"), ("skew", "Z"))
+    return [(klass, n) for klass, ring in rings for n in sizes
+            if cohom.betti_table(n, klass, ring) != cohom.poincare_polynomial(n, klass)]
+
+
+def check_coproduct_multiplicativity(sizes) -> list:
+    """Every coproduct equals the product of its primitives' coproducts."""
+    return [entries for n in sizes for entries in cohom.enumerate_symbols(n)
+            if cohom.coproduct_via_primitives(entries) != cohom.coproduct(entries).terms]
+
+
+def check_perfect_pairing(sizes) -> list:
+    """Every symbol pairs to +-1 with exactly one symbol of complementary
+    degree, with equal values by the direct and the cup-product route."""
+    failures = []
+    for n in sizes:
+        symbols = cohom.enumerate_symbols(n)
+        for a in symbols:
+            hits = 0
+            for b in (s for s in symbols if len(s) == n - 1 - len(a)):
+                v1 = cohom.intersection_pairing(a, b, n)
+                v2 = cohom.intersection_pairing_via_cup(a, b, n)
+                if v1 != v2:
+                    failures.append((n, a, b, "route-mismatch"))
+                if v1 != 0:
+                    hits += 1
+                    if v1 not in (1, -1):
+                        failures.append((n, a, b, "entry", v1))
+            if hits != 1:
+                failures.append((n, a, "hits", hits))
+    return failures
+
+
+def check_closure_products(sizes, trials: int, seed: int) -> list:
+    """Products of two general cells' points land in the merged cell for
+    ``trials`` disjoint pairs and drop dimension by 2 for ``trials``
+    overlapping ones."""
+    failures = []
+    rng = np.random.default_rng(seed)
+    done_disjoint = done_overlap = 0
+    while done_disjoint < trials or done_overlap < trials:
+        n = sizes[int(rng.integers(len(sizes)))]
+        pool = list(range(2, n + 1))
+        rng.shuffle(pool)
+        a = tuple(sorted(pool[: int(rng.integers(1, len(pool)))]))
+        rest = [m for m in range(2, n + 1) if m not in a]
+        if done_overlap < trials and (done_disjoint >= trials or rng.uniform() < 0.5):
+            b = tuple(sorted({a[int(rng.integers(0, len(a)))]}
+                             | set(rest[: int(rng.integers(0, len(rest) + 1))])))
+            done_overlap += 1
+        else:
+            if not rest:
+                continue
+            b = tuple(sorted(rest[: int(rng.integers(1, len(rest) + 1))]))
+            done_disjoint += 1
+        rep = closure_product_check(a, b, n, int(rng.integers(0, 2**31)))
+        if not rep.passed:
+            failures.append((n, a, b, rep.product_symbol))
+    return failures
+
+
+def check_pfaffian_law(sizes, trials: int, bound: float, seed: int):
+    """Pf(C^T B C) = det(C) Pf(B) within ``bound * max(1, |rhs|)`` and
+    Pf(J) = 1; returns the failures and the worst relative error."""
+    failures, worst = [], 0.0
+    for n in sizes:
+        rng = np.random.default_rng(seed + n)
+        for t in range(trials):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            b = g - g.T
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            lhs = pfaffian(c.T @ b @ c)
+            rhs = np.linalg.det(c) * pfaffian(b)
+            scale = max(1.0, abs(rhs))
+            worst = max(worst, abs(lhs - rhs) / scale)
+            if abs(lhs - rhs) > bound * scale:
+                failures.append((n, t, abs(lhs - rhs)))
+        if pfaffian(jn(n // 2)) != 1.0:
+            failures.append(("Pf(J)", n // 2))
+    return failures, worst
 
 
 def _random_axis(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -52,7 +247,7 @@ def _sym_entries(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return tuple(m for m in range(2, n + 1) if rng.uniform() < 0.5)
 
 
-def suite_rotor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL):
+def suite_rotor(n: int, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     out = []
 
@@ -75,16 +270,16 @@ def suite_rotor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_T
         pick = lambda: np.concatenate([_random_axis(rng, m), np.zeros(dim - m)])
         a = PseudoRotation(rng.uniform(0.3, 2.8), pick())
         b = PseudoRotation(rng.uniform(0.3, 2.8), pick())
-        if a.min_index(tol) < b.min_index(tol):
+        if a.min_index() < b.min_index():
             a, b = b, a
-        first, second, tag = whitehead_interchange(a, b, tol)
+        first, second, tag = whitehead_interchange(a, b)
         got = product_matrix([f for f in (first, second) if f is not None], dim)
         want = a.matrix() @ b.matrix()
         worst = max(worst, np.linalg.norm(got - want))
         if tag == "case2" and first is not None and second is not None:
-            mm = a.min_index(tol)
-            contract_ok = (contract_ok and first.min_index(tol) <= mm - 1
-                           and second.min_index(tol) == mm)
+            mm = a.min_index()
+            contract_ok = (contract_ok and first.min_index() <= mm - 1
+                           and second.min_index() == mm)
     out.append(CheckResult(
         "rotor", "whitehead-product-law", worst <= 1e-10 and contract_ok,
         f"max product deviation {worst:.3g}"))
@@ -121,9 +316,9 @@ def suite_rotor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_T
         ax = lambda: np.concatenate([_random_axis(rng, m), np.zeros(dim - m)])
         a = PseudoRotation(rng.uniform(0.3, 2.8), ax())
         b = PseudoRotation(rng.uniform(0.3, 2.8), ax())
-        if a.min_index(tol) < b.min_index(tol):
+        if a.min_index() < b.min_index():
             a, b = b, a
-        first, second, _ = whitehead_interchange(a, b, tol)
+        first, second, _ = whitehead_interchange(a, b)
         outs = [f for f in (first, second) if f is not None]
         lhs = product_matrix(
             [PseudoRotation(b.theta, jmul(b.axis)), PseudoRotation(a.theta, jmul(a.axis))], dim)
@@ -135,79 +330,20 @@ def suite_rotor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_T
     return out
 
 
-def _fiber_dims(n: int, klass: str) -> list[int]:
-    dims = list(range(2, n + 1))
-    if klass == "skew":
-        dims = [d for d in dims if d % 2 == 0 and d >= 4]
-    return dims
-
-
-def suite_factor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL):
-    rng = np.random.default_rng(seed)
+def suite_factor(n: int, trials: int, seed: int):
     out = []
-
-    for klass, engine in (
-        ("general", factorize_su),
-        ("symmetric", factorize_symmetric),
-        ("skew", factorize_skew),
-    ):
-        worst = 0.0
-        mono_ok = True
-        for dim in _fiber_dims(n, klass):
-            for _ in range(trials):
-                b = cartan_model_sample(dim, klass, rng)
-                fact = engine(b, tol)
-                worst = max(worst, np.linalg.norm(fact.matrix() - b))
-                mins = fact.min_indices(tol)
-                mono_ok = mono_ok and all(x < y for x, y in zip(mins, mins[1:]))
-                mono_ok = mono_ok and all(abs(f.theta) >= tol.tol_angle for f in fact.factors)
-        ok = worst <= 1e-8 * n and mono_ok
-        out.append(CheckResult(
-            "factor", f"reconstruction-{klass}", ok, f"max residual {worst:.3g}"))
-
-    bad = 0
-    for _ in range(trials):
-        dim = int(rng.integers(2, min(n, 5) + 1))
-        if not symbol_invariance_check(haar_sample(dim, "special_unitary", rng), tol).equal:
-            bad += 1
-    out.append(CheckResult(
-        "factor", "symbol-invariance-quadruple", bad == 0, f"{bad} mismatches"))
-
-    mism = 0
-    total = 0
-    for klass in ("general", "symmetric", "skew"):
-        top = min(n, 6) if klass != "skew" else min(max(n // 2, 2), 3)
-        for entries in cohom.enumerate_symbols(top, klass):
-            ambient = top if klass != "skew" else 2 * top
-            sym = SchubertSymbol(entries, ambient, klass)
-            for _ in range(3):
-                point = cell_sample(sym, rng, tol)
-                engine = {"general": factorize_su, "symmetric": factorize_symmetric,
-                          "skew": factorize_skew}[klass]
-                total += 1
-                if engine(point, tol).symbol(tol).entries != entries:
-                    mism += 1
-    out.append(CheckResult(
-        "factor", "cell-map-round-trip", mism == 0, f"{mism}/{total} mismatches"))
-
-    bad = 0
-    for _ in range(trials):
-        half = int(rng.integers(2, max(2, n // 2) + 1))
-        dim = 2 * half
-        model = cartan_model_sample(dim, "skew", rng)
-        fact = factorize_skew(model, tol)
-        dec = factorize_decreasing(model, tol)
-        mins = sorted(dec.min_indices(tol))
-        pair_ok = len(mins) % 2 == 0 and all(
-            mins[2 * i] % 2 == 1 and mins[2 * i + 1] == mins[2 * i] + 1
-            for i in range(len(mins) // 2))
-        paired = tuple(x for m in fact.symbol(tol).entries for x in (2 * m - 1, 2 * m))
-        su_sym = factorize_su(model, tol).symbol(tol).entries
-        sym_ok = su_sym in (paired, (2,) + paired)
-        if not (pair_ok and sym_ok):
-            bad += 1
-    out.append(CheckResult(
-        "factor", "skew-structure-law", bad == 0, f"{bad} violations"))
+    for klass in ENGINES:
+        failures, worst = check_factorization(klass, class_sizes(n, klass), trials, 1e-8, seed)
+        out.append(_row("factor", f"reconstruction-{klass}", failures,
+                        f"max residual {worst:.3g}"))
+    out.append(_row("factor", "symbol-invariance-quadruple",
+                    check_symbol_invariance(range(2, min(n, 5) + 1), trials, seed)))
+    top = range(2, min(n, 6) + 1)
+    tops = {"general": top, "symmetric": top, "skew": range(2, min(max(n // 2, 2), 3) + 1)}
+    out.append(_row("factor", "cell-map-round-trip",
+                    check_cell_round_trip(tops, 3, seed, (False,))))
+    out.append(_row("factor", "skew-structure-law",
+                    check_skew_structure_law(class_sizes(max(n, 4), "skew"), trials, seed)))
 
     dims_ok = True
     for entries in cohom.enumerate_symbols(min(n, 8), "general"):
@@ -218,53 +354,38 @@ def suite_factor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_
     return out
 
 
-def suite_milnor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL):
+def suite_milnor(n: int, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     out = []
 
-    for klass, cls_tag in (("general", "sl"), ("symmetric", "sym_fiber"), ("skew", "skew_fiber")):
-        worst = 0.0
-        for dim in _fiber_dims(n, klass):
-            for _ in range(trials):
-                b = haar_sample(dim, cls_tag, rng)
-                cid = identify(b, klass, tol)
-                worst = max(worst, cid.residual / max(1.0, np.linalg.norm(b)))
-        out.append(CheckResult(
-            "milnor", f"identification-reconstruction-{klass}", worst <= 1e-8,
-            f"max relative residual {worst:.3g}"))
+    for klass in ENGINES:
+        # relative residual within 1e-8 at every size up to n
+        failures, worst = check_identification(klass, class_sizes(n, klass), trials, 1e-8 / n, seed)
+        out.append(_row("milnor", f"identification-reconstruction-{klass}", failures,
+                        f"max relative residual {worst:.3g}"))
 
     bad = 0
-    for klass, cls_tag in (("general", "sl"), ("symmetric", "sym_fiber"), ("skew", "skew_fiber")):
-        dims = _fiber_dims(min(n, 5), klass) or [4]
+    for klass, cls_tag in FIBER_SAMPLERS.items():
+        dims = class_sizes(min(n, 5), klass) or [4]
         for _ in range(trials):
             dim = dims[int(rng.integers(0, len(dims)))]
             b = haar_sample(dim, cls_tag, rng)
             e = dressing_sample(dim, klass, rng)
-            if not sol_invariance_check(b, e, klass, tol).equal:
+            if not sol_invariance_check(b, e, klass).equal:
                 bad += 1
     out.append(CheckResult("milnor", "solvable-action-invariance", bad == 0, f"{bad} mismatches"))
 
-    mism = 0
-    total = 0
-    for klass in ("general", "symmetric", "skew"):
-        top = min(n, 4) if klass != "skew" else 2
-        for entries in cohom.enumerate_symbols(top, klass):
-            ambient = top if klass != "skew" else 2 * top
-            sym = SchubertSymbol(entries, ambient, klass)
-            for _ in range(2):
-                b = fiber_sample(sym, rng, dress=True, tol=tol)
-                total += 1
-                if identify(b, klass, tol).symbol.entries != entries:
-                    mism += 1
-    out.append(CheckResult(
-        "milnor", "planted-cell-recovery", mism == 0, f"{mism}/{total} mismatches"))
+    top = range(2, min(n, 4) + 1)
+    tops = {"general": top, "symmetric": top, "skew": range(2, 3)}
+    out.append(_row("milnor", "planted-cell-recovery",
+                    check_cell_round_trip(tops, 2, seed, (True,))))
 
     bad = 0
     for _ in range(trials):
         dim = int(rng.integers(2, min(n, 5) + 1))
         b = cartan_model_sample(dim, "symmetric", rng)
-        sy = factorize_symmetric(b, tol).symbol(tol).entries
-        su = factorize_su(b, tol).symbol(tol).entries
+        sy = factorize_symmetric(b).symbol().entries
+        su = factorize_su(b).symbol().entries
         if sy != su:
             bad += 1
     out.append(CheckResult(
@@ -272,16 +393,13 @@ def suite_milnor(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_
     return out
 
 
-def suite_cohom(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL):
+def suite_cohom(n: int, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     out = []
     top = max(3, min(n, 10))
 
-    betti_ok = True
-    for klass, ring in (("general", "Z"), ("symmetric", "Z2"), ("skew", "Z")):
-        for nn in range(2, top + 1):
-            betti_ok = betti_ok and cohom.betti_table(nn, klass, ring) == cohom.poincare_polynomial(nn, klass)
-    out.append(CheckResult("cohom", "betti-vs-poincare", betti_ok, f"n up to {top}"))
+    out.append(_row("cohom", "betti-vs-poincare", check_betti_numbers(range(2, top + 1)),
+                    f"n up to {top}"))
 
     co_ok = True
     for nn in range(2, min(top, 7) + 1):
@@ -303,31 +421,10 @@ def suite_cohom(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_T
             co_ok = co_ok and {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
     out.append(CheckResult("cohom", "coproduct-counit-coassoc", co_ok, "exact"))
 
-    mult_ok = True
-    for nn in range(2, min(top, 6) + 1):
-        for entries in cohom.enumerate_symbols(nn):
-            mult_ok = mult_ok and cohom.coproduct_via_primitives(entries) == cohom.coproduct(entries).terms
-    out.append(CheckResult("cohom", "coproduct-multiplicativity", mult_ok, "exact"))
-
-    pair_ok = True
-    for nn in range(2, min(top, 8) + 1):
-        symbols = cohom.enumerate_symbols(nn)
-        by_len: dict[int, list] = {}
-        for s in symbols:
-            by_len.setdefault(len(s), []).append(s)
-        for r, rows in by_len.items():
-            cols = by_len.get(nn - 1 - r, [])
-            for a in rows:
-                hits = 0
-                for b in cols:
-                    v1 = cohom.intersection_pairing(a, b, nn)
-                    v2 = cohom.intersection_pairing_via_cup(a, b, nn)
-                    pair_ok = pair_ok and v1 == v2
-                    if v1 != 0:
-                        hits += 1
-                        pair_ok = pair_ok and v1 in (1, -1)
-                pair_ok = pair_ok and hits == 1
-    out.append(CheckResult("cohom", "perfect-pairing-dual-route", pair_ok, "exact"))
+    out.append(_row("cohom", "coproduct-multiplicativity",
+                    check_coproduct_multiplicativity(range(2, min(top, 6) + 1))))
+    out.append(_row("cohom", "perfect-pairing-dual-route",
+                    check_perfect_pairing(range(2, min(top, 8) + 1))))
 
     eps_ok = True
     for _ in range(max(trials, 50)):
@@ -346,43 +443,25 @@ def suite_cohom(n: int, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_T
         deg_ok = deg_ok and cohom.cell_dim(mono) == cohom.cell_dim(entries)
     out.append(CheckResult("cohom", "dual-degree-bookkeeping", deg_ok, "exact"))
 
-    closure_ok = True
-    for _ in range(min(trials, 10)):
-        nn = int(rng.integers(3, max(4, min(n, 5) + 1)))
-        pool = list(range(2, nn + 1))
-        a = (pool[int(rng.integers(0, len(pool)))],)
-        rest = [m for m in pool if m not in a]
-        b = (rest[int(rng.integers(0, len(rest)))],) if rest else a
-        closure_ok = closure_ok and closure_product_check(a, b, nn, int(rng.integers(0, 2**31)), tol).passed
-    out.append(CheckResult("cohom", "closure-product-sampled", closure_ok, "numeric"))
-
-    pf_ok = True
-    worst = 0.0
-    for _ in range(trials):
-        half = int(rng.integers(1, max(1, n // 2) + 1))
-        dim = 2 * half
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b = g - g.T
-        c = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        lhs = pfaffian(c.T @ b @ c, tol)
-        rhs = np.linalg.det(c) * pfaffian(b, tol)
-        err = abs(lhs - rhs) / max(1.0, abs(rhs))
-        worst = max(worst, err)
-        pf_ok = pf_ok and err <= 1e-8
-    pf_ok = pf_ok and pfaffian(jn(max(1, n // 2)), tol) == 1.0
-    out.append(CheckResult("cohom", "pfaffian-transformation-law", pf_ok,
-                           f"max relative error {worst:.3g}"))
+    out.append(_row("cohom", "closure-product-sampled", check_closure_products(
+        range(3, max(4, min(n, 5) + 1)), min(trials, 10), seed)))
+    failures, worst = check_pfaffian_law(range(2, n + 1, 2), trials, 1e-8, seed)
+    out.append(_row("cohom", "pfaffian-transformation-law", failures,
+                    f"max relative error {worst:.3g}"))
     return out
 
 
-def run_suites(suite: str, n: int, trials: int, seed: int,
-               tol: ToleranceConfig = DEFAULT_TOL) -> list[CheckResult]:
+def run_suites(suite: str, n: int, trials: int, seed: int) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     names = ("rotor", "factor", "milnor", "cohom") if suite == "all" else (suite,)
     table = {"rotor": suite_rotor, "factor": suite_factor,
              "milnor": suite_milnor, "cohom": suite_cohom}
     out: list[CheckResult] = []
     for name in names:
-        out.extend(table[name](n, trials, seed, tol))
+        out.extend(table[name](n, trials, seed))
     return out

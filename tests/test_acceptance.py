@@ -1,34 +1,18 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
-Each test prints a single pass/fail line (visible with ``pytest -s``; on
-failure the captured line shows up in the report).
+Criteria 01-09 run the invariant checks of ``schubert.verify``, the same
+functions behind ``schubert verify``, at the gate's own seeds, trial counts
+and bounds.  Each test prints a single pass/fail line (visible with
+``pytest -s``; on failure the captured line shows up in the report).
 """
 import json
 import pathlib
 import subprocess
 import sys
 
-import numpy as np
-
-from schubert import cohom, numlin
-from schubert.factor import (
-    SchubertSymbol,
-    cartan_model_sample,
-    factorize_decreasing,
-    factorize_skew,
-    factorize_su,
-    factorize_symmetric,
-)
-from schubert.milnor import closure_product_check, fiber_sample, identify
-from schubert.rotor import PseudoRotation, apply, jmul
+from schubert import cohom, verify
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-ENGINES = {
-    "general": factorize_su,
-    "symmetric": factorize_symmetric,
-    "skew": factorize_skew,
-}
 
 
 def _report(num: int, name: str, failures: list) -> None:
@@ -37,210 +21,63 @@ def _report(num: int, name: str, failures: list) -> None:
     assert not failures, f"criterion {num} ({name}): {failures[:5]}"
 
 
-def _dims(klass: str) -> list:
-    return [4, 6, 8] if klass == "skew" else list(range(2, 9))
-
-
 def test_criterion_01_factorization_reconstruction():
     failures = []
-    for klass in ENGINES:
-        for n in _dims(klass):
-            rng = np.random.default_rng(1000 + n)
-            for t in range(100):
-                compact = cartan_model_sample(n, klass, rng)
-                fact = ENGINES[klass](compact)
-                res = float(np.linalg.norm(fact.matrix() - compact))
-                if res > 1e-8 * n:
-                    failures.append((klass, n, t, "compact", res))
-            # the same bound for the fiber-level identification pipelines
-            sample_cls = {"general": "sl", "symmetric": "sym_fiber", "skew": "skew_fiber"}[klass]
-            rng = np.random.default_rng(2000 + n)
-            for t in range(100):
-                b = numlin.haar_sample(n, sample_cls, rng)
-                cid = identify(b, klass)
-                res = float(np.linalg.norm(cid.reconstruction() - b))
-                if res > 1e-8 * n * max(1.0, np.linalg.norm(b)):
-                    failures.append((klass, n, t, "fiber", res))
+    for klass in verify.ENGINES:
+        sizes = verify.class_sizes(8, klass)
+        failures += verify.check_factorization(klass, sizes, 100, 1e-8, 1000)[0]
+        # the same bound for the fiber-level identification pipelines
+        failures += verify.check_identification(klass, sizes, 100, 1e-8, 2000)[0]
     _report(1, "factorization reconstruction", failures)
 
 
 def test_criterion_02_symbol_well_definedness():
-    failures = []
-    for n in range(2, 7):
-        rng = np.random.default_rng(50 + n)
-        for t in range(100):
-            b = numlin.haar_sample(n, "special_unitary", rng)
-            syms = (
-                factorize_su(b).symbol().entries,
-                factorize_su(b.conj().T).symbol().entries,
-                factorize_su(np.conj(b)).symbol().entries,
-                factorize_su(b.T).symbol().entries,
-            )
-            if len(set(syms)) != 1:
-                failures.append((n, t, syms))
+    failures = verify.check_symbol_invariance(range(2, 7), 100, 50)
     _report(2, "symbol well-definedness (quadruples)", failures)
 
 
 def test_criterion_03_cell_map_round_trip():
-    failures = []
-    counter = 0
-    for klass, tops in (("general", range(2, 7)), ("symmetric", range(2, 7)),
-                        ("skew", range(2, 5))):
-        for top in tops:
-            ambient = top if klass != "skew" else 2 * top
-            for entries in cohom.enumerate_symbols(top, klass):
-                sym = SchubertSymbol(entries, ambient, klass)
-                for dress in (False, True):
-                    for _ in range(10):
-                        counter += 1
-                        b = fiber_sample(sym, seed=counter, dress=dress)
-                        cid = identify(b, klass)
-                        if cid.symbol.entries != entries:
-                            failures.append((klass, entries, dress, counter, cid.symbol.entries))
-                        elif cid.boundary_ambiguous:
-                            failures.append((klass, entries, dress, counter, "boundary-flag"))
-    _report(3, "cell-map round trips incl. dressed", failures)
+    tops = {"general": range(2, 7), "symmetric": range(2, 7), "skew": range(2, 5)}
+    _report(3, "cell-map round trips incl. dressed", verify.check_cell_round_trip(tops, 10, 0))
 
 
 def test_criterion_04_skew_structure_law():
-    failures = []
-    for n in (4, 6, 8):
-        rng = np.random.default_rng(70 + n)
-        for t in range(30):
-            b = cartan_model_sample(n, "skew", rng)
-            fact = factorize_skew(b)
-            # independent stage-by-stage verification of the pairing law
-            work = list(reversed(factorize_decreasing(b).factors))
-            stage_fail = False
-            if len(work) % 2:
-                stage_fail = True
-            while work and not stage_fail:
-                a1, a2 = work[0], work[1]
-                m1 = a1.min_index()
-                partner = PseudoRotation(a1.theta, jmul(a1.axis))
-                if (m1 % 2 != 1 or a2.min_index() != m1 + 1
-                        or np.linalg.norm(a2.matrix() - partner.matrix()) > 1e-8):
-                    stage_fail = True
-                    break
-                inv = a1.inverse()
-                work = [PseudoRotation(f.theta, apply(inv, f.axis)) for f in work[2:]]
-            if stage_fail:
-                failures.append((n, t, "pairing"))
-                continue
-            paired = tuple(x for m in fact.symbol().entries for x in (2 * m - 1, 2 * m))
-            su = factorize_su(b).symbol().entries
-            if su not in (paired, (2,) + paired):
-                failures.append((n, t, "Cor 5.10", su, paired))
-    _report(4, "skew structure law", failures)
+    _report(4, "skew structure law", verify.check_skew_structure_law((4, 6, 8), 30, 70))
 
 
 def test_criterion_05_cell_count_equals_betti():
-    failures = []
-    for klass, ring in (("general", "Z"), ("symmetric", "Z2"), ("skew", "Z")):
-        for n in range(2, 11):
-            if cohom.betti_table(n, klass, ring) != cohom.poincare_polynomial(n, klass):
-                failures.append((klass, n))
-    golden = json.loads((DATA / "sym_char0_poincare.json").read_text())
-    for m_str, coeffs in golden.items():
-        got = {str(k): v for k, v in cohom.sym_char0_poincare(int(m_str)).items()}
-        if got != coeffs:
-            failures.append(("sym_char0", m_str))
-    golden = json.loads((DATA / "stiefel_poincare.json").read_text())
-    for key, coeffs in golden.items():
+    failures = verify.check_betti_numbers(range(2, 11))
+    for key, coeffs in json.loads((DATA / "sym_char0_poincare.json").read_text()).items():
+        if {str(k): v for k, v in cohom.sym_char0_poincare(int(key)).items()} != coeffs:
+            failures.append(("sym_char0", key))
+    for key, coeffs in json.loads((DATA / "stiefel_poincare.json").read_text()).items():
         m, n = (int(p) for p in key.split(","))
-        got = {str(k): v for k, v in cohom.stiefel_poincare(m, n).items()}
-        if got != coeffs:
+        if {str(k): v for k, v in cohom.stiefel_poincare(m, n).items()} != coeffs:
             failures.append(("stiefel", key))
     _report(5, "cell counts = Betti numbers + golden polynomials", failures)
 
 
 def test_criterion_06_hopf_consistency():
-    failures = []
-    for n in range(2, 7):
-        for entries in cohom.enumerate_symbols(n):
-            if cohom.coproduct_via_primitives(entries) != cohom.coproduct(entries).terms:
-                failures.append(entries)
+    failures = verify.check_coproduct_multiplicativity(range(2, 7))
     # the (m1, m2) middle-term signs, literally
     for (m1, m2) in ((2, 3), (2, 5), (3, 4)):
         got = cohom.coproduct((m1, m2)).terms
-        expect = {
-            ((m1, m2), ()): 1,
-            ((m1,), (m2,)): -1,
-            ((m2,), (m1,)): 1,
-            ((), (m1, m2)): 1,
-        }
+        expect = {((m1, m2), ()): 1, ((m1,), (m2,)): -1, ((m2,), (m1,)): 1, ((), (m1, m2)): 1}
         if got != expect:
             failures.append(("pair-signs", m1, m2))
     _report(6, "Hopf coproduct consistency", failures)
 
 
 def test_criterion_07_perfect_pairing():
-    failures = []
-    for n in range(2, 9):
-        symbols = cohom.enumerate_symbols(n)
-        by_len: dict = {}
-        for s in symbols:
-            by_len.setdefault(len(s), []).append(s)
-        for r, rows in by_len.items():
-            cols = by_len.get(n - 1 - r, [])
-            for a in rows:
-                hits = 0
-                for b in cols:
-                    v1 = cohom.intersection_pairing(a, b, n)
-                    v2 = cohom.intersection_pairing_via_cup(a, b, n)
-                    if v1 != v2:
-                        failures.append((n, a, b, "route-mismatch"))
-                    if v1 != 0:
-                        hits += 1
-                        if v1 not in (1, -1):
-                            failures.append((n, a, b, "entry", v1))
-                if hits != 1:
-                    failures.append((n, a, "hits", hits))
-    _report(7, "perfect intersection pairing", failures)
+    _report(7, "perfect intersection pairing", verify.check_perfect_pairing(range(2, 9)))
 
 
 def test_criterion_08_closure_product_laws():
-    failures = []
-    rng = np.random.default_rng(88)
-    done_disjoint = done_overlap = 0
-    while done_disjoint < 50 or done_overlap < 50:
-        n = int(rng.integers(3, 6))
-        pool = list(range(2, n + 1))
-        rng.shuffle(pool)
-        a = tuple(sorted(pool[: int(rng.integers(1, len(pool)))]))
-        want_overlap = done_overlap < 50 and (done_disjoint >= 50 or rng.uniform() < 0.5)
-        if want_overlap:
-            extra = [m for m in range(2, n + 1) if m not in a]
-            b = tuple(sorted({a[int(rng.integers(0, len(a)))]}
-                             | set(extra[: int(rng.integers(0, len(extra) + 1))])))
-            done_overlap += 1
-        else:
-            rest = [m for m in range(2, n + 1) if m not in a]
-            if not rest:
-                continue
-            b = tuple(sorted(rest[: int(rng.integers(1, len(rest) + 1))]))
-            done_disjoint += 1
-        rep = closure_product_check(a, b, n, int(rng.integers(0, 2**31)))
-        if not rep.passed:
-            failures.append((n, a, b, rep.product_symbol))
-    _report(8, "closure and product laws", failures)
+    _report(8, "closure and product laws", verify.check_closure_products(range(3, 6), 50, 88))
 
 
 def test_criterion_09_pfaffian_law():
-    failures = []
-    for n in (2, 4, 6, 8):
-        rng = np.random.default_rng(90 + n)
-        for t in range(25):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            b = g - g.T
-            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            lhs = numlin.pfaffian(c.T @ b @ c)
-            rhs = np.linalg.det(c) * numlin.pfaffian(b)
-            if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
-                failures.append((n, t, abs(lhs - rhs)))
-    for k in (1, 2, 3, 4):
-        if numlin.pfaffian(numlin.jn(k)) != 1.0:
-            failures.append(("Pf(J)", k))
+    failures, _ = verify.check_pfaffian_law((2, 4, 6, 8), 25, 1e-8, 90)
     _report(9, "Pfaffian transformation law", failures)
 
 

@@ -132,6 +132,13 @@ class TestSampleCommand:
         out = run_cli("sample", "--class", "general", "--symbol", "1,2", "--n", "3")
         assert out.returncode == 1
 
+    def test_empty_ambient_exit_1(self, capsys):
+        from schubert import cli
+
+        for klass in ("general", "skew"):
+            assert cli.main(["sample", "--class", klass, "--n", "0"]) == 1
+            assert "too small" in capsys.readouterr().err
+
     def test_byte_determinism(self):
         a = run_cli("sample", "--class", "skew", "--symbol", "2", "--n", "2",
                     "--seed", "42", "--dress-solvable")
@@ -169,6 +176,17 @@ class TestTables:
         out = run_cli("pdual", "--m", "2", "--n", "3")
         assert out.stdout.strip() == "-e(3)"
 
+    def test_size_caps_exit_1(self, capsys):
+        from schubert import cli
+
+        for argv in (["cells", "--class", "general", "--n", str(cli.MAX_TABLE_N + 1)],
+                     ["betti", "--class", "skew", "--n", str(cli.MAX_TABLE_N + 1)],
+                     ["sample", "--class", "general", "--n", str(cli.MAX_MATRIX_N + 1)],
+                     ["sample", "--class", "skew", "--n", str(cli.MAX_MATRIX_N // 2 + 1)],
+                     ["verify", "--n", str(cli.MAX_MATRIX_N + 1)]):
+            assert cli.main(argv) == 1
+            assert "above the cap" in capsys.readouterr().err
+
     def test_coproduct(self):
         out = run_cli("coproduct", "--m", "4")
         assert "e(4)x1" in out.stdout and "1xe(4)" in out.stdout
@@ -192,3 +210,15 @@ class TestVerifyCommand:
     def test_byte_determinism(self):
         args = ("verify", "--suite", "factor", "--n", "3", "--trials", "5", "--seed", "9")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    def test_too_few_trials_exit_1(self, capsys):
+        from schubert import cli
+
+        assert cli.main(["verify", "--trials", "0"]) == 1
+        assert "trials must be at least 1" in capsys.readouterr().err
+
+    def test_too_small_n_exit_1(self, capsys):
+        from schubert import cli
+
+        assert cli.main(["verify", "--suite", "milnor", "--n", "1"]) == 1
+        assert "n must be at least 2" in capsys.readouterr().err

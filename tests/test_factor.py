@@ -43,6 +43,13 @@ class TestSchubertSymbol:
         with pytest.raises(InvalidSymbol):
             SchubertSymbol((3,), 4, "skew")  # bound is ambient/2
 
+    def test_ambient_too_small(self):
+        SchubertSymbol((), 1)
+        SchubertSymbol((), 2, "skew")
+        for ambient, klass in ((0, "general"), (-1, "symmetric"), (0, "skew")):
+            with pytest.raises(InvalidSymbol):
+                SchubertSymbol((), ambient, klass)
+
     def test_attributes(self):
         s = SchubertSymbol((2, 4), 5)
         assert s.length == 2 and s.weight == 6 and s.dim() == 2 * 6 - 2
