@@ -60,10 +60,10 @@ def make_tol(value: float | None) -> ToleranceConfig:
     )
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _check_cap(n: int, cap: int, what: str = "--n") -> None:
     """Refuse a size whose memory or time would grow without bound."""
     if n > cap:
-        raise ValueError(f"--n {n} is above the cap {cap}")
+        raise ValueError(f"{what} {n} is above the cap {cap}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,6 +184,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_pdual(args) -> int:
+    _check_cap(args.n, MAX_MATRIX_N)  # the complement holds n - 1 entries
     print(cohom.format_element(cohom.poincare_dual(parse_symbol(args.m), args.n)))
     return EXIT_OK
 
@@ -194,7 +195,10 @@ def cmd_pair(args) -> int:
 
 
 def cmd_coproduct(args) -> int:
-    print(str(cohom.coproduct(parse_symbol(args.m))))
+    entries = parse_symbol(args.m)
+    # 2^len(m) terms: the cap matches the 2^(MAX_TABLE_N - 1) symbols of `cells`
+    _check_cap(len(entries), MAX_TABLE_N - 1, "--m entry count")
+    print(str(cohom.coproduct(entries)))
     return EXIT_OK
 
 

@@ -31,27 +31,27 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidSymbol,
-    NotInFiber,
-    NotInModel,
     PreconditionViolated,
     RealAxisExtractionFailure,
     StructureViolation,
     UnsupportedClass,
 )
 from .numlin import (
+    FiberElement,
     as_square_matrix,
     check_unitary,
     haar_sample,
     jn,
+    validated,
 )
 from .rotor import (
     TAU,
     PseudoRotation,
     apply,
     check_class,
-    in_cartan_model,
     jmul,
     min_index,
+    model_element,
     sigma,
 )
 from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
@@ -159,14 +159,6 @@ class OrderedFactorization:
         return SchubertSymbol(entries, self.ambient, self.klass)
 
 
-def _check_su(b, tol: ToleranceConfig) -> np.ndarray:
-    b = check_unitary(b, tol)
-    det = complex(np.linalg.det(b))
-    if abs(det - 1.0) > 100 * tol.tol_residual:
-        raise NotInFiber(f"det = {det:.6g}, expected 1")
-    return b
-
-
 def _split_correction(
     work: list[PseudoRotation], tol: ToleranceConfig
 ) -> tuple[Optional[PseudoRotation], list[PseudoRotation]]:
@@ -267,7 +259,8 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     least ``tol_angle / GRAY_SPAN`` and is within GRAY_SPAN times that
     movement of zero.
     """
-    b = _check_su(b, tol)
+    m = check_unitary(b, tol)  # NotUnitary, then NotInFiber unless b passed det = 1
+    b = m if validated(b, "general", "symmetric") else FiberElement(m, "general", tol).matrix
     n = b.shape[0]
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
@@ -302,8 +295,8 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
     factor; the min-index-1 factor, when present, stays explicit at the
     right end of the product.
     """
-    b = _check_su(b, tol)
-    inc = factorize_su(b.conj().T, tol)
+    m = as_square_matrix(b)
+    inc = factorize_su(b.adjoint() if validated(b, "general", "symmetric") else m.conj().T, tol)
     flat = inc.all_factors()
     dec = tuple(PseudoRotation(-f.theta, f.axis) for f in reversed(flat))
     fact = OrderedFactorization(
@@ -314,7 +307,7 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
         correction=None,
         boundary_ambiguous=inc.boundary_ambiguous,
     )
-    residual = float(np.linalg.norm(fact.matrix() - b))
+    residual = float(np.linalg.norm(fact.matrix() - m))
     return replace(fact, residual=residual)
 
 
@@ -383,7 +376,7 @@ class InvarianceReport:
 
 
 def symbol_invariance_check(b, tol: ToleranceConfig = DEFAULT_TOL) -> InvarianceReport:
-    b = _check_su(b, tol)
+    b = as_square_matrix(b)
     return InvarianceReport(
         original=factorize_su(b, tol).symbol(tol),
         inverse=factorize_su(b.conj().T, tol).symbol(tol),
@@ -417,10 +410,9 @@ def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactori
     real-axis rotation; its half-angle square root is split off by Cartan
     conjugation and the remaining factors are conjugated in place.
     """
-    b = as_square_matrix(b)
-    if not in_cartan_model(b, "symmetric", tol):
-        raise NotInModel("matrix is not symmetric unitary with det 1")
-    dec = factorize_decreasing(b, tol)
+    elem = model_element(b, "symmetric", tol)
+    b = elem.matrix
+    dec = factorize_decreasing(elem, tol)
     work = list(reversed(dec.factors))
     halves: list[PseudoRotation] = []
     for i in range(len(work)):
@@ -456,10 +448,9 @@ def factorize_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorizatio
     the factorization.  Symbol entries are the half-indices (m+1)/2 of the
     emitted factors, the (1,2) correction pair excluded.
     """
-    b = as_square_matrix(b)
-    if not in_cartan_model(b, "skew", tol):
-        raise NotInModel("matrix is not in the skew Cartan model")
-    dec = factorize_decreasing(b, tol)
+    elem = model_element(b, "skew", tol)
+    b = elem.matrix
+    dec = factorize_decreasing(elem, tol)
     work = list(reversed(dec.factors))
     if len(work) % 2 != 0:
         raise StructureViolation(f"odd factor count {len(work)}")

@@ -21,13 +21,13 @@ generic representative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import cohom
-from .errors import NotInFiber, PreconditionViolated
+from .errors import PreconditionViolated
 from .factor import (
     OrderedFactorization,
     SchubertSymbol,
@@ -39,54 +39,21 @@ from .factor import (
     schubert_map,
 )
 from .numlin import (
+    FiberElement,
     as_square_matrix,
     diagonalize_quadratic_form,
     is_solvable_factor,
-    is_unitary,
+    is_unitary,  # noqa: F401  (a lookup point of perfbench/tracer.py)
     iwasawa_split,
     jn,
+    near_one,
     normalize_skew_form,
-    pfaffian,
     quaternionic_solvable_sample,
     real_solvable_sample,
     solvable_sample,
 )
 from .rotor import check_class, jmul
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-
-
-@dataclass(frozen=True)
-class FiberElement:
-    """A matrix together with its fiber class, validated on construction."""
-
-    matrix: np.ndarray
-    klass: str
-    tol: ToleranceConfig = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        check_class(self.klass)
-        b = as_square_matrix(self.matrix)
-        object.__setattr__(self, "matrix", b)
-        tol = self.tol
-        scale = max(1.0, float(np.linalg.norm(b)))
-        if self.klass == "general":
-            det = complex(np.linalg.det(b))
-            if abs(det - 1.0) > 100 * tol.tol_residual:
-                raise NotInFiber(f"det = {det:.6g}, expected 1")
-        elif self.klass == "symmetric":
-            if np.linalg.norm(b - b.T) > tol.tol_residual * scale:
-                raise NotInFiber("matrix is not symmetric")
-            det = complex(np.linalg.det(b))
-            if abs(det - 1.0) > 100 * tol.tol_residual:
-                raise NotInFiber(f"det = {det:.6g}, expected 1")
-        else:
-            if b.shape[0] % 2 != 0:
-                raise NotInFiber("skew fiber needs an even dimension")
-            if np.linalg.norm(b + b.T) > tol.tol_residual * scale:
-                raise NotInFiber("matrix is not skew-symmetric")
-            pf = pfaffian(b, tol)
-            if abs(pf - 1.0) > 100 * tol.tol_residual:
-                raise NotInFiber(f"Pf = {pf:.6g}, expected 1 (inputs are not rescaled)")
 
 
 @dataclass(frozen=True)
@@ -107,6 +74,12 @@ class CellIdentification:
     boundary_ambiguous: bool
     factorization: OrderedFactorization
 
+    @classmethod
+    def of(cls, fact: OrderedFactorization, compact, witness, b, tol) -> "CellIdentification":
+        """The identification of ``b`` by ``fact``, with its residual."""
+        cid = cls(fact.symbol(tol), compact, witness, 0.0, fact.boundary_ambiguous, fact)
+        return replace(cid, residual=float(np.linalg.norm(cid.reconstruction() - b)))
+
     def reconstruction(self) -> np.ndarray:
         if self.symbol.klass == "general":
             return self.compact_part @ self.witness
@@ -117,18 +90,9 @@ def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentificatio
     """Schubert cell of an element of SL_n: Iwasawa-split B = A . C and
     factorize the special unitary part."""
     elem = b if isinstance(b, FiberElement) else FiberElement(b, "general", tol)
-    mat = elem.matrix
-    parts = iwasawa_split(mat, tol)
+    parts = iwasawa_split(elem, tol)
     fact = factorize_su(parts.unitary, tol)
-    residual = float(np.linalg.norm(parts.unitary @ parts.solvable - mat))
-    return CellIdentification(
-        symbol=fact.symbol(tol),
-        compact_part=parts.unitary,
-        witness=parts.solvable,
-        residual=residual,
-        boundary_ambiguous=fact.boundary_ambiguous,
-        factorization=fact,
-    )
+    return CellIdentification.of(fact, parts.unitary, parts.solvable, elem.matrix, tol)
 
 
 def _unit_eig_clusters(w_mat: np.ndarray, gate: float):
@@ -167,6 +131,23 @@ def _spd_inv_quarter(blk: np.ndarray) -> np.ndarray:
     return q @ np.diag(w ** -0.25) @ q.conj().T
 
 
+def _scaled_witness(b: np.ndarray, blocks: list, scale_form) -> np.ndarray:
+    """The Cholesky witness of the eigenbasis ``blocks`` once each block is
+    rescaled by the inverse quarter root of its diagonal block of
+    ``scale_form(U0, A0)`` (U0, A0 from the unscaled witness)."""
+    v = np.hstack(blocks)
+    e0 = _chol_witness(v)
+    e0inv = np.linalg.inv(e0)
+    s_mat = scale_form(e0 @ v, e0inv.T @ b @ e0inv)
+    idx = 0
+    fixed = []
+    for x in blocks:
+        d = x.shape[1]
+        fixed.append(v[:, idx : idx + d] @ _spd_inv_quarter(s_mat[idx : idx + d, idx : idx + d]))
+        idx += d
+    return _chol_witness(np.hstack(fixed))
+
+
 def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
     """Invert a real-solvable congruence dressing of a symmetric fiber point.
 
@@ -190,20 +171,8 @@ def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
             if s_svd[d - 1] <= gate or (s_svd[d:].size and s_svd[d] > s_svd[d - 1] * gate * 1e3):
                 return None  # the span carries no d-dimensional real structure
             blocks.append(u_svd[:, :d].astype(np.complex128))
-        v = np.hstack(blocks)
-        e0 = _chol_witness(v)
-        e0inv = np.linalg.inv(e0)
-        a0 = e0inv.T @ b @ e0inv
-        u0 = e0 @ v
-        s_mat = u0.T @ (a0 @ np.conj(a0)) @ u0
-        idx = 0
-        fixed = []
-        for x in blocks:
-            d = x.shape[1]
-            fixed.append(v[:, idx : idx + d] @ _spd_inv_quarter(s_mat[idx : idx + d, idx : idx + d]))
-            idx += d
-        v = np.hstack(fixed)
-        e = _chol_witness(v).real.astype(np.complex128)
+        e = _scaled_witness(b, blocks, lambda u0, a0: u0.T @ (a0 @ np.conj(a0)) @ u0)
+        e = e.real.astype(np.complex128)
         einv = np.linalg.inv(e)
         compact = einv.T @ b @ einv
     except np.linalg.LinAlgError:
@@ -211,7 +180,7 @@ def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
     scale = max(1.0, float(np.linalg.norm(b)))
     ok = (
         np.linalg.norm(compact @ compact.conj().T - np.eye(n)) <= tol.structure * n
-        and abs(complex(np.linalg.det(e)) - 1.0) <= tol.structure * 10
+        and near_one(np.linalg.det(e), tol)
         and np.linalg.norm(e.T @ compact @ e - b) <= tol.structure * scale
     )
     return (compact, e) if ok else None
@@ -257,20 +226,8 @@ def undress_skew(b, tol: ToleranceConfig = DEFAULT_TOL):
             if len(basis) != x.shape[1]:
                 return None
             blocks.append(np.column_stack(basis))
-        v = np.hstack(blocks)
-        e0 = _chol_witness(v)
-        e0inv = np.linalg.inv(e0)
-        a0 = e0inv.T @ b @ e0inv
-        u0 = e0 @ v
-        s_mat = -j @ (u0.T @ (a0 @ a0.conj().T) @ np.conj(u0)) @ j
-        idx = 0
-        fixed = []
-        for x in blocks:
-            d = x.shape[1]
-            fixed.append(v[:, idx : idx + d] @ _spd_inv_quarter(s_mat[idx : idx + d, idx : idx + d]))
-            idx += d
-        v = np.hstack(fixed)
-        e = _chol_witness(v)
+        e = _scaled_witness(
+            b, blocks, lambda u0, a0: -j @ (u0.T @ (a0 @ a0.conj().T) @ np.conj(u0)) @ j)
         einv = np.linalg.inv(e)
         compact = einv.T @ b @ einv
     except np.linalg.LinAlgError:
@@ -279,7 +236,7 @@ def undress_skew(b, tol: ToleranceConfig = DEFAULT_TOL):
     ok = (
         np.linalg.norm(compact @ compact.conj().T - np.eye(n)) <= tol.structure * n
         and np.linalg.norm(compact + compact.T) <= tol.structure * n
-        and abs(complex(np.linalg.det(e)) - 1.0) <= tol.structure * 10
+        and near_one(np.linalg.det(e), tol)
         and np.linalg.norm(e.T @ compact @ e - b) <= tol.structure * scale
     )
     return (compact, e) if ok else None
@@ -297,26 +254,18 @@ def identify_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentificat
     elem = b if isinstance(b, FiberElement) else FiberElement(b, "symmetric", tol)
     mat = elem.matrix
     n = mat.shape[0]
-    if is_unitary(mat, tol):
+    if elem.unitary:
         compact, e = mat, np.eye(n, dtype=np.complex128)
     else:
         found = undress_symmetric(mat, tol)
         if found is not None:
             compact, e = found
         else:
-            c = diagonalize_quadratic_form(mat, tol)
+            c = diagonalize_quadratic_form(elem, tol)
             parts = iwasawa_split(np.linalg.inv(c), tol)
             compact, e = parts.unitary.T @ parts.unitary, parts.solvable
-    fact = factorize_symmetric(compact, tol)
-    residual = float(np.linalg.norm(e.T @ compact @ e - mat))
-    return CellIdentification(
-        symbol=fact.symbol(tol),
-        compact_part=compact,
-        witness=e,
-        residual=residual,
-        boundary_ambiguous=fact.boundary_ambiguous,
-        factorization=fact,
-    )
+    fact = factorize_symmetric(elem if elem.unitary else compact, tol)
+    return CellIdentification.of(fact, compact, e, mat, tol)
 
 
 def identify_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
@@ -331,28 +280,19 @@ def identify_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     elem = b if isinstance(b, FiberElement) else FiberElement(b, "skew", tol)
     mat = elem.matrix
     n = mat.shape[0]
-    n_half = n // 2
-    j = jn(n_half)
-    if is_unitary(mat, tol):
+    j = jn(n // 2)
+    if elem.unitary:
         compact, e = mat, np.eye(n, dtype=np.complex128)
     else:
         found = undress_skew(mat, tol)
         if found is not None:
             compact, e = found
         else:
-            c = normalize_skew_form(mat, tol)
+            c = normalize_skew_form(elem, tol)
             parts = iwasawa_split(np.linalg.inv(c), tol)
             compact, e = parts.unitary.T @ j @ parts.unitary, parts.solvable
     fact = factorize_skew(compact @ (-j), tol)  # J^-1 = -J
-    residual = float(np.linalg.norm(e.T @ compact @ e - mat))
-    return CellIdentification(
-        symbol=fact.symbol(tol),
-        compact_part=compact,
-        witness=e,
-        residual=residual,
-        boundary_ambiguous=fact.boundary_ambiguous,
-        factorization=fact,
-    )
+    return CellIdentification.of(fact, compact, e, mat, tol)
 
 
 def identify(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
@@ -387,14 +327,12 @@ def sol_invariance_check(
     :func:`dressing_sample` (real solvable, respectively quaternionic
     solvable); a witness outside it can genuinely move the cell.
     """
-    check_class(klass)
     e = as_square_matrix(e)
     if not is_solvable_factor(e, tol):
         raise PreconditionViolated("E must be upper triangular, positive diagonal, det 1")
-    elem = b if isinstance(b, FiberElement) else FiberElement(b, klass, tol)
-    mat = elem.matrix
+    before = identify(b, klass, tol)
+    mat = as_square_matrix(b)
     moved = mat @ e if klass == "general" else e.T @ mat @ e
-    before = identify(mat, klass, tol)
     after = identify(moved, klass, tol)
     return SolInvarianceReport(symbol=before.symbol, symbol_after=after.symbol)
 
@@ -425,26 +363,19 @@ def closure_product_check(
     q = schubert_map(sym2, sample_interior_params(sym2, rng), tol)
     prod_symbol = factorize_su(p @ q, tol).symbol(tol).entries
     disjoint = not (set(sym1.entries) & set(sym2.entries))
+    expected = bound = None
     if disjoint:
         expected = cohom.merge_symbols(sym1.entries, sym2.entries)
-        return ClosureProductReport(
-            left=sym1.entries,
-            right=sym2.entries,
-            product_symbol=prod_symbol,
-            disjoint=True,
-            expected_merge=expected,
-            dim_bound=None,
-            passed=prod_symbol == expected,
-        )
-    bound = cohom.cell_dim(sym1.entries) + cohom.cell_dim(sym2.entries) - 2
+    else:
+        bound = cohom.cell_dim(sym1.entries) + cohom.cell_dim(sym2.entries) - 2
     return ClosureProductReport(
         left=sym1.entries,
         right=sym2.entries,
         product_symbol=prod_symbol,
-        disjoint=False,
-        expected_merge=None,
+        disjoint=disjoint,
+        expected_merge=expected,
         dim_bound=bound,
-        passed=cohom.cell_dim(prod_symbol) <= bound,
+        passed=prod_symbol == expected if disjoint else cohom.cell_dim(prod_symbol) <= bound,
     )
 
 

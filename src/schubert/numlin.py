@@ -1,11 +1,12 @@
 """Dense complex linear algebra kernels.
 
-Hermitian inner products, the Iwasawa (unitary * solvable) splitting of
-determinant-one matrices, Pfaffians, congruence normalization of symmetric
-and skew-symmetric bilinear forms, and seeded random samplers for the
-matrix classes.  The factorization engines do not diagonalize: they read
-factors off row by row (see :mod:`schubert.factor`).  ``eig_unitary``
-remains an exported kernel of the package.
+Hermitian inner products, fiber membership (:class:`FiberElement` and the
+one det = 1 / Pf = 1 decision, :func:`near_one`), the Iwasawa (unitary *
+solvable) splitting of determinant-one matrices, Pfaffians, congruence
+normalization of symmetric and skew-symmetric bilinear forms, and seeded
+random samplers for the matrix classes.  The factorization engines do not
+diagonalize: they read factors off row by row (see :mod:`schubert.factor`).
+``eig_unitary`` remains an exported kernel of the package.
 
 Conventions:
   * the Hermitian form is ``<x, y> = x^T conj(y)`` (column vectors);
@@ -16,6 +17,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +31,27 @@ from .errors import (
     NotUnitary,
     OddDimension,
     SingularInput,
+    UnsupportedClass,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
+
+#: the three matrix classes; the tag fixes the Cartan involution sigma
+CLASSES = ("general", "symmetric", "skew")
 
 #: classes accepted by :func:`haar_sample`
 SAMPLE_CLASSES = ("special_unitary", "sl", "sym_fiber", "skew_fiber")
 
 
+def check_class(klass: str) -> str:
+    if klass not in CLASSES:
+        raise ValueError(f"unknown matrix class {klass!r}")
+    return klass
+
+
 def as_square_matrix(b) -> np.ndarray:
-    """Validate and return ``b`` as a square complex128 array."""
+    """Validate and return ``b`` (a FiberElement's matrix as is) as a square complex128 array."""
+    if isinstance(b, FiberElement):
+        return b.matrix
     m = np.asarray(b, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -73,10 +87,64 @@ def is_unitary(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def check_unitary(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    b = as_square_matrix(b)
-    if not is_unitary(b, tol):
+    """The matrix of ``b``, which must be unitary."""
+    m = as_square_matrix(b)
+    if not (b.unitary if isinstance(b, FiberElement) else is_unitary(m, tol)):
         raise NotUnitary("matrix is not unitary within tolerance")
-    return b
+    return m
+
+
+def near_one(value: complex, tol: ToleranceConfig = DEFAULT_TOL, factor: float = 100.0) -> bool:
+    """The package's one det = 1 / Pf = 1 decision: ``|value - 1| <= factor
+    * tol_residual``, with the multiple chosen by the call site."""
+    return abs(complex(value) - 1.0) <= factor * tol.tol_residual
+
+
+@dataclass(frozen=True)
+class FiberElement:
+    """A matrix together with its fiber class, validated on construction:
+    det = 1 (general), symmetric with det = 1, or skew with Pf = 1.  The
+    functions with a fiber or model precondition skip what it has passed."""
+
+    matrix: np.ndarray
+    klass: str
+    tol: ToleranceConfig = DEFAULT_TOL
+
+    def __post_init__(self) -> None:
+        check_class(self.klass)
+        b = as_square_matrix(self.matrix)
+        object.__setattr__(self, "matrix", b)
+        if self.klass == "symmetric":
+            if np.linalg.norm(b - b.T) > self.tol.tol_residual * max(1.0, float(np.linalg.norm(b))):
+                raise NotInFiber("matrix is not symmetric")
+        if self.klass == "skew":
+            try:  # pfaffian checks the dimension and the skew-symmetry
+                name, value = "Pf", pfaffian(b, self.tol)
+            except (OddDimension, NotSkewSymmetric) as exc:
+                raise NotInFiber(str(exc)) from None
+        else:
+            name, value = "det", complex(np.linalg.det(b))
+        if not near_one(value, self.tol):
+            raise NotInFiber(f"{name} = {value:.6g}, expected 1 (inputs are not rescaled)")
+
+    @functools.cached_property
+    def unitary(self) -> bool:
+        """Whether the matrix is unitary (the compact tier), decided once."""
+        return is_unitary(self.matrix, self.tol)
+
+    def adjoint(self) -> "FiberElement":
+        """The conjugate transpose, in the same fiber and tier without new
+        checks; a skew adjoint has Pf = (-1)^(n/2) conj(Pf), so not skew."""
+        if self.klass == "skew":
+            raise UnsupportedClass("the adjoint of a skew fiber element leaves the fiber")
+        out = object.__new__(FiberElement)
+        out.__dict__.update(self.__dict__, matrix=np.ascontiguousarray(self.matrix.conj().T))
+        return out
+
+
+def validated(b, *klasses: str) -> bool:
+    """Whether ``b`` is a FiberElement of one of ``klasses``."""
+    return isinstance(b, FiberElement) and b.klass in klasses
 
 
 @dataclass(frozen=True)
@@ -94,11 +162,8 @@ def iwasawa_split(b, tol: ToleranceConfig = DEFAULT_TOL) -> IwasawaParts:
     phase correction that makes the triangular factor's diagonal real and
     positive.  The split is unique, so the QR backend is immaterial.
     """
-    b = as_square_matrix(b)
+    b = (b if validated(b, "general", "symmetric") else FiberElement(b, "general", tol)).matrix
     n = b.shape[0]
-    det = complex(np.linalg.det(b))
-    if abs(det - 1.0) > tol.tol_residual * 100:
-        raise NotInFiber(f"det(B) = {det:.6g}, expected 1")
     q, r = np.linalg.qr(b)
     diag = np.diag(r).copy()
     scale = max(1.0, float(np.linalg.norm(b)))
@@ -121,7 +186,7 @@ def is_solvable_factor(e: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> boo
     d = np.diag(e)
     if np.any(d.real <= 0) or np.any(np.abs(d.imag) > tol.tol_residual * np.abs(d.real)):
         return False
-    return abs(complex(np.linalg.det(e)) - 1.0) <= tol.tol_residual * 100
+    return near_one(np.linalg.det(e), tol)
 
 
 @dataclass(frozen=True)
@@ -214,10 +279,11 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     principal-branch square roots.  ``det(C) = +-1`` is forced to +1 by a
     column sign flip.
     """
+    checked = validated(b, "symmetric")
     b = as_square_matrix(b)
     n = b.shape[0]
     scale = max(1.0, float(np.abs(b).max()))
-    if np.linalg.norm(b - b.T) > tol.tol_residual * max(1.0, np.linalg.norm(b)):
+    if not checked and np.linalg.norm(b - b.T) > tol.tol_residual * max(1.0, np.linalg.norm(b)):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     a = 0.5 * (b + b.T)
     c = np.eye(n, dtype=np.complex128)
@@ -250,12 +316,10 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     roots = np.sqrt(np.diag(a).astype(np.complex128))
     c = c / roots[np.newaxis, :]
     det = complex(np.linalg.det(c))
-    if abs(det - 1.0) <= tol.tol_residual * 100:
-        pass
-    elif abs(det + 1.0) <= tol.tol_residual * 100:
+    if not near_one(det, tol):
+        if not near_one(-det, tol):
+            raise NotInFiber(f"det(C) = {det:.6g}; input determinant is not 1")
         c[:, 0] = -c[:, 0]
-    else:
-        raise NotInFiber(f"det(C) = {det:.6g}; input determinant is not 1")
     return c
 
 
@@ -266,12 +330,13 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     :func:`jn` in place: pivot a maximal entry into each (2i-1, 2i) slot,
     scale the block symmetrically, and clear the remaining couplings.
     """
+    checked = validated(b, "skew")
     b = as_square_matrix(b)
     n = b.shape[0]
-    if n % 2 != 0:
+    if not checked and n % 2 != 0:
         raise OddDimension("skew normalization needs an even dimension")
     scale = max(1.0, float(np.abs(b).max()))
-    if np.linalg.norm(b + b.T) > tol.tol_residual * max(1.0, np.linalg.norm(b)):
+    if not checked and np.linalg.norm(b + b.T) > tol.tol_residual * max(1.0, np.linalg.norm(b)):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
     a = 0.5 * (b - b.T)
     c = np.eye(n, dtype=np.complex128)
@@ -311,9 +376,10 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             a[:, i + 2 :] -= np.outer(a[:, i], nu)
             a[i + 2 :, :] -= np.outer(nu, a[i, :])
             c[:, i + 2 :] -= np.outer(c[:, i], nu)
-    det = complex(np.linalg.det(c))
-    if abs(det - 1.0) > tol.tol_residual * 1000:
-        raise NotInFiber(f"det(C) = {det:.6g}; input Pfaffian is not 1")
+    if not checked:
+        det = complex(np.linalg.det(c))
+        if not near_one(det, tol, 1000.0):
+            raise NotInFiber(f"det(C) = {det:.6g}; input Pfaffian is not 1")
     return c
 
 

@@ -18,25 +18,18 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NotInFiber,
     NotInModel,
     NotUnitary,
     OddDimension,
     PreconditionViolated,
     ZeroVector,
 )
-from .numlin import as_square_matrix, check_unitary, hermitian_inner, is_unitary, jn
+from .numlin import (FiberElement, as_square_matrix, check_class, check_unitary, hermitian_inner,
+                     is_unitary, jn, validated)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 TAU = 2.0 * math.pi
-
-#: the three matrix classes; the tag fixes the Cartan involution sigma
-CLASSES = ("general", "symmetric", "skew")
-
-
-def check_class(klass: str) -> str:
-    if klass not in CLASSES:
-        raise ValueError(f"unknown matrix class {klass!r}")
-    return klass
 
 
 def canonical_angle(theta: float) -> float:
@@ -304,23 +297,36 @@ def sigma(c, klass: str) -> np.ndarray:
     return j @ np.conj(m) @ j.conj().T
 
 
+def model_element(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> FiberElement:
+    """``b`` as an element of the compact Cartan model of the class: in the
+    general fiber (the symmetric one for the symmetric class), unitary, and
+    for the skew class with B J skew-symmetric.  Skips the checks a
+    FiberElement has passed; any failure raises NotInModel."""
+    check_class(klass)
+    not_in_model = NotInModel(f"matrix is not in the {klass} Cartan model")
+    fiber = "symmetric" if klass == "symmetric" else "general"
+    try:
+        elem = b if validated(b, fiber, "symmetric") else FiberElement(b, fiber, tol)
+    except NotInFiber:
+        raise not_in_model from None
+    m = elem.matrix
+    if klass == "skew":
+        mj = m @ jn(m.shape[0] // 2) if m.shape[0] % 2 == 0 else None
+        scale = max(1.0, float(np.linalg.norm(m)))
+        if mj is None or np.linalg.norm(mj + mj.T) > tol.tol_residual * scale:
+            raise not_in_model
+    if not elem.unitary:
+        raise not_in_model
+    return elem
+
+
 def in_cartan_model(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Membership test for the compact Cartan model of the class."""
-    check_class(klass)
-    b = as_square_matrix(b)
-    if not is_unitary(b, tol):
+    try:
+        model_element(b, klass, tol)
+    except NotInModel:
         return False
-    scale = max(1.0, float(np.linalg.norm(b)))
-    if abs(complex(np.linalg.det(b)) - 1.0) > 100 * tol.tol_residual:
-        return False
-    if klass == "general":
-        return True
-    if klass == "symmetric":
-        return np.linalg.norm(b - b.T) <= tol.tol_residual * scale
-    if b.shape[0] % 2 != 0:
-        return False
-    bj = b @ jn(b.shape[0] // 2)
-    return np.linalg.norm(bj + bj.T) <= tol.tol_residual * scale
+    return True
 
 
 def cartan_conjugate(
@@ -331,13 +337,11 @@ def cartan_conjugate(
     Concretely ``A B A^T`` for the symmetric class and
     ``A (B J) A^T J^-1`` for the skew class.
     """
-    check_class(klass)
     a = as_square_matrix(a)
     b = as_square_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch("conjugator and model element differ in size")
     if not is_unitary(a, tol):
         raise NotUnitary("Cartan conjugation requires a unitary conjugator")
-    if not in_cartan_model(b, klass, tol):
-        raise NotInModel(f"matrix is not in the {klass} Cartan model")
+    model_element(b, klass, tol)
     return a @ b @ sigma(a.conj().T, klass)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SchubertError
-from .rotor import CLASSES
+from .numlin import CLASSES
 
 
 def fmt17(x: float) -> str:

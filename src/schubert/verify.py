@@ -45,8 +45,9 @@ def _row(suite: str, name: str, failures: list, detail: str = "") -> CheckResult
 
 
 def class_sizes(n: int, klass: str) -> list[int]:
-    """Matrix sizes 2..n of the class; skew matrices are even and at least 4."""
-    return [d for d in range(2, n + 1) if klass != "skew" or (d % 2 == 0 and d >= 4)]
+    """Matrix sizes 2..n of the class; skew matrices are even and at least 4,
+    so below 4 the skew class gets size 4."""
+    return list(range(4, max(n, 4) + 1, 2)) if klass == "skew" else list(range(2, n + 1))
 
 
 def check_factorization(klass: str, sizes, trials: int, bound: float, seed: int):
@@ -343,7 +344,7 @@ def suite_factor(n: int, trials: int, seed: int):
     out.append(_row("factor", "cell-map-round-trip",
                     check_cell_round_trip(tops, 3, seed, (False,))))
     out.append(_row("factor", "skew-structure-law",
-                    check_skew_structure_law(class_sizes(max(n, 4), "skew"), trials, seed)))
+                    check_skew_structure_law(class_sizes(n, "skew"), trials, seed)))
 
     dims_ok = True
     for entries in cohom.enumerate_symbols(min(n, 8), "general"):
@@ -366,7 +367,7 @@ def suite_milnor(n: int, trials: int, seed: int):
 
     bad = 0
     for klass, cls_tag in FIBER_SAMPLERS.items():
-        dims = class_sizes(min(n, 5), klass) or [4]
+        dims = class_sizes(min(n, 5), klass)
         for _ in range(trials):
             dim = dims[int(rng.integers(0, len(dims)))]
             b = haar_sample(dim, cls_tag, rng)

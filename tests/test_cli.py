@@ -183,7 +183,9 @@ class TestTables:
                      ["betti", "--class", "skew", "--n", str(cli.MAX_TABLE_N + 1)],
                      ["sample", "--class", "general", "--n", str(cli.MAX_MATRIX_N + 1)],
                      ["sample", "--class", "skew", "--n", str(cli.MAX_MATRIX_N // 2 + 1)],
-                     ["verify", "--n", str(cli.MAX_MATRIX_N + 1)]):
+                     ["verify", "--n", str(cli.MAX_MATRIX_N + 1)],
+                     ["pdual", "--m", "2", "--n", str(cli.MAX_MATRIX_N + 1)],
+                     ["coproduct", "--m", ",".join(str(m) for m in range(2, cli.MAX_TABLE_N + 2))]):
             assert cli.main(argv) == 1
             assert "above the cap" in capsys.readouterr().err
 
@@ -202,6 +204,15 @@ class TestVerifyCommand:
         out = run_cli("verify", "--suite", "factor", "--n", "4", "--trials", "10", "--seed", "1")
         assert out.returncode == 0
         assert "max residual" in out.stdout
+
+    def test_skew_rows_check_matrices_below_n_4(self, capsys):
+        from schubert import cli
+
+        assert cli.main(["verify", "--suite", "factor", "--n", "3", "--trials", "3",
+                         "--seed", "5"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if "factor.reconstruction-skew" in line)
+        assert float(row.split()[-1]) > 0
 
     def test_smoke_all(self):
         out = run_cli("verify", "--suite", "all", "--n", "2", "--trials", "1", "--seed", "0")

@@ -226,3 +226,80 @@ class TestEngineRegressions:
     def test_planted_symbol(self, entries, n, klass, seed, dress):
         b = fiber_sample(SchubertSymbol(entries, n, klass), seed, dress=dress)
         assert identify(b, klass).symbol.entries == entries
+
+
+class TestValidateOnce:
+    """Membership is decided once and passed on: one identify at n = 8
+    makes at most this many (np.linalg.det calls, is_unitary calls at the
+    numlin, milnor and rotor lookup points)."""
+
+    CEILINGS = {
+        ("general", "compact"): (2, 1),
+        ("general", "dressed"): (2, 1),
+        ("general", "haar"): (2, 1),
+        ("symmetric", "compact"): (1, 1),
+        ("symmetric", "dressed"): (3, 2),
+        ("symmetric", "haar"): (4, 2),
+        ("skew", "compact"): (1, 2),
+        ("skew", "dressed"): (2, 2),
+        ("skew", "haar"): (2, 2),
+    }
+    TOPS = {"general": (2, 4, 7), "symmetric": (3, 5, 8), "skew": (2, 4)}
+    HAAR = {"general": "sl", "symmetric": "sym_fiber", "skew": "skew_fiber"}
+    # exact undressing: not tried on compact points, succeeds on dressed
+    # ones and fails on Haar ones, which take the congruence fallback
+    UNDRESSED = {"compact": [], "dressed": [True], "haar": [False]}
+
+    @pytest.mark.parametrize("klass,tier", sorted(CEILINGS))
+    def test_checks_per_identify(self, monkeypatch, klass, tier):
+        from schubert import milnor, rotor
+
+        if tier == "haar":
+            b = numlin.haar_sample(8, self.HAAR[klass], 1)
+        else:
+            sym = SchubertSymbol(self.TOPS[klass], 8, klass)
+            b = fiber_sample(sym, 1, dress=tier == "dressed")
+        counts = {"det": 0, "unitary": 0}
+        undressed = []
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def recorded(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                undressed.append(out is not None)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+        for module in (numlin, milnor, rotor):
+            monkeypatch.setattr(module, "is_unitary", counted("unitary", module.is_unitary))
+        for name in ("undress_symmetric", "undress_skew"):
+            monkeypatch.setattr(milnor, name, recorded(getattr(milnor, name)))
+        cid = identify(b, klass)
+        det_max, unitary_max = self.CEILINGS[(klass, tier)]
+        assert counts["det"] <= det_max and counts["unitary"] <= unitary_max, counts
+        assert undressed == (self.UNDRESSED[tier] if klass != "general" else [])
+        if tier != "haar":
+            assert cid.symbol.entries == self.TOPS[klass]
+
+
+class TestPublicExceptions:
+    @pytest.mark.parametrize("engine", ["factorize_su", "factorize_decreasing"])
+    def test_su_engines(self, engine):
+        from schubert import factor
+        from schubert.errors import NotUnitary
+
+        with pytest.raises(NotUnitary):
+            getattr(factor, engine)(np.diag([2.0, 0.5]))
+        with pytest.raises(NotInFiber):
+            getattr(factor, engine)(np.diag([1j, 1.0]))
+
+    def test_iwasawa_of_validated_input_is_bit_identical(self, rng):
+        b = numlin.haar_sample(6, "sl", rng)
+        raw, elem = numlin.iwasawa_split(b), numlin.iwasawa_split(FiberElement(b, "general"))
+        assert (raw.unitary == elem.unitary).all() and (raw.solvable == elem.solvable).all()
