@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -28,8 +30,11 @@ Monomial = tuple[int, ...]
 
 
 def _check_entries(m) -> Monomial:
-    t = tuple(int(x) for x in m)
-    if any(b <= a for a, b in zip(t, t[1:])) or (t and t[0] < 2):
+    try:  # operator.index takes numpy integers and refuses floats
+        t = tuple(map(operator.index, m))
+    except TypeError:
+        raise InvalidSymbol(f"not a tuple of integers: {m!r}") from None
+    if t and (t[0] < 2 or not all(map(operator.lt, t, t[1:]))):
         raise InvalidSymbol(f"not a strictly increasing tuple of ints > 1: {t}")
     return t
 
@@ -45,15 +50,30 @@ def generator_degree(m: int, klass: str = "general") -> int:
     raise UnsupportedClass(f"unknown class {klass!r}")
 
 
+# cell dimension = scale * |m| - shift * l(m), the sum of the generator degrees
+_DIM_FORM = {"general": (2, 1), "symmetric": (1, 0), "skew": (4, 3)}
+
+
+def _dim_form(klass: str) -> tuple[int, int]:
+    if klass not in CLASSES:
+        raise UnsupportedClass(f"unknown class {klass!r}")
+    return _DIM_FORM[klass]
+
+
 def cell_dim(m, klass: str = "general") -> int:
-    """Real dimension of the Schubert cell of the symbol: the sum of the
-    generator degrees (2|m| - l, |m|, 4|m| - 3l by class)."""
+    """Real dimension of the Schubert cell of the symbol, the sum of its
+    generator degrees, in closed form: 2|m| - l, |m| or 4|m| - 3l by class,
+    where |m| is the entry sum and l the length.  The class and the symbol
+    are both validated."""
+    scale, shift = _dim_form(klass)
     t = _check_entries(m)
-    return sum(generator_degree(x, klass) for x in t)
+    return scale * sum(t) - shift * len(t)
 
 
 def enumerate_symbols(n: int, klass: str = "general") -> list[Monomial]:
-    """All 2^(n-1) strictly increasing tuples with entries in (1, n].
+    """All 2^(n-1) strictly increasing tuples with entries in (1, n],
+    ordered by length and then lexicographically (the order in which
+    ``itertools.combinations`` yields each length).
 
     For the skew class the bound n is half the ambient dimension 2n.
     """
@@ -61,10 +81,7 @@ def enumerate_symbols(n: int, klass: str = "general") -> list[Monomial]:
         raise UnsupportedClass(f"unknown class {klass!r}")
     if n < 1:
         raise InvalidSymbol("need n >= 1")
-    out: list[Monomial] = []
-    for r in range(0, n):
-        out.extend(itertools.combinations(range(2, n + 1), r))
-    return sorted(out, key=lambda t: (len(t), t))
+    return [t for r in range(n) for t in itertools.combinations(range(2, n + 1), r)]
 
 
 def beta(m) -> int:
@@ -115,17 +132,6 @@ class ExtElement:
 
     def coefficient(self, mono) -> int:
         return self.terms.get(_check_entries(mono), 0)
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        if self.ring != other.ring:
-            raise UnsupportedCoefficients("ring mismatch")
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return ExtElement(terms, self.ring)
-
-    def scale(self, c: int) -> "ExtElement":
-        return ExtElement({m: c * v for m, v in self.terms.items()}, self.ring)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -192,18 +198,6 @@ class TensorElement:
             if int(c):
                 clean[key] = int(c)
         object.__setattr__(self, "terms", clean)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return TensorElement(terms)
-
-    def scale(self, c: int) -> "TensorElement":
-        return TensorElement({k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -284,25 +278,15 @@ def coproduct_via_primitives(m) -> dict[tuple[Monomial, Monomial], int]:
     prod = TensorElement({((), ()): 1})
     for entry in t:
         prod = tensor_mul(prod, coproduct((entry,)))
-    out: dict[tuple[Monomial, Monomial], int] = {}
-    for (a, b), c in prod.terms.items():
-        sign = (-1) ** (beta(t) + beta(a) + beta(b))
-        key = (a, b)
-        val = out.get(key, 0) + sign * c
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return out
+    return {(a, b): (-1) ** (beta(t) + beta(a) + beta(b)) * c
+            for (a, b), c in prod.terms.items()}
 
 
 def homology_product(m, mp):
     """Pontryagin product of Schubert classes: ``epsilon * merged`` for
     disjoint symbols, None (the zero class) when they overlap."""
-    a, b = _check_entries(m), _check_entries(mp)
-    if set(a) & set(b):
-        return None
-    return epsilon(a, b), merge_symbols(a, b)
+    merged, sign = _merge_sign(_check_entries(m), _check_entries(mp))
+    return (sign, merged) if sign else None
 
 
 def full_symbol(n: int) -> Monomial:
@@ -364,17 +348,18 @@ def betti_table(n: int, klass: str = "general", ring: str = "Z") -> dict[int, in
     """Per-degree ranks of the Schubert-cycle homology basis: the number of
     symbols of each cell dimension.
 
-    The symmetric class carries only Z/2Z fundamental classes, so it
-    requires ``ring="Z2"``.
+    ``ring`` and ``klass`` are validated here and ``n`` by
+    :func:`enumerate_symbols`, whose symbols are counted by the closed-form
+    dimension of :func:`cell_dim` without checking each again.  The
+    symmetric class carries only Z/2Z fundamental classes, so it requires
+    ``ring="Z2"``.
     """
     if ring not in RINGS:
         raise UnsupportedCoefficients(f"unknown ring {ring!r}")
     if klass == "symmetric" and ring != "Z2":
         raise UnsupportedCoefficients("symmetric Schubert cycles only carry Z/2Z classes")
-    table: dict[int, int] = {}
-    for sym in enumerate_symbols(n, klass):
-        d = cell_dim(sym, klass)
-        table[d] = table.get(d, 0) + 1
+    scale, shift = _dim_form(klass)
+    table = Counter(scale * sum(t) - shift * len(t) for t in enumerate_symbols(n, klass))
     return dict(sorted(table.items()))
 
 

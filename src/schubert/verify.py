@@ -346,11 +346,11 @@ def suite_factor(n: int, trials: int, seed: int):
     out.append(_row("factor", "skew-structure-law",
                     check_skew_structure_law(class_sizes(n, "skew"), trials, seed)))
 
-    dims_ok = True
-    for entries in cohom.enumerate_symbols(min(n, 8), "general"):
-        dims_ok = dims_ok and cohom.cell_dim(entries, "general") == 2 * sum(entries) - len(entries)
-        dims_ok = dims_ok and cohom.cell_dim(entries, "symmetric") == sum(entries)
-        dims_ok = dims_ok and cohom.cell_dim(entries, "skew") == 4 * sum(entries) - 3 * len(entries)
+    closed = {"general": lambda e: 2 * sum(e) - len(e), "symmetric": sum,
+              "skew": lambda e: 4 * sum(e) - 3 * len(e)}
+    # cell_dim uses these closed forms itself, so the degrees are summed too
+    dims_ok = all(cohom.cell_dim(e, k) == form(e) == sum(cohom.generator_degree(m, k) for m in e)
+                  for e in cohom.enumerate_symbols(min(n, 8)) for k, form in closed.items())
     out.append(CheckResult("factor", "cell-dimension-formulas", dims_ok, "exact"))
     return out
 

@@ -195,6 +195,16 @@ class TestTables:
 
 
 class TestVerifyCommand:
+    def test_suite_names_match_verify(self):
+        from schubert import cli, verify
+
+        assert cli.SUITES == verify.SUITES
+
+    def test_cli_import_leaves_verify_unloaded(self):
+        code = "import sys, schubert.cli; print('schubert.verify' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "False"
+
     def test_cohom_suite_passes(self):
         out = run_cli("verify", "--suite", "cohom", "--n", "6")
         assert out.returncode == 0

@@ -1,6 +1,8 @@
 import json
 import pathlib
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,13 @@ class TestEnumeration:
         assert len(cohom.enumerate_symbols(6)) == 32
         assert len(cohom.enumerate_symbols(6, "skew")) == 32
 
+    @pytest.mark.parametrize("klass", cohom.CLASSES)
+    def test_order_is_length_then_lex(self, klass):
+        for n in range(1, 13):
+            subsets = [tuple(m for m in range(2, n + 1) if mask >> (m - 2) & 1)
+                       for mask in range(2 ** (n - 1))]
+            assert cohom.enumerate_symbols(n, klass) == sorted(subsets, key=lambda t: (len(t), t))
+
 
 class TestCellDim:
     def test_general(self):
@@ -52,6 +61,26 @@ class TestCellDim:
     def test_rejects_bad_tuple(self):
         with pytest.raises(InvalidSymbol):
             cohom.cell_dim((3, 2))
+
+    @pytest.mark.parametrize("klass", cohom.CLASSES)
+    def test_closed_form_is_the_degree_sum(self, klass):
+        for entries in cohom.enumerate_symbols(10, klass):
+            want = sum(cohom.generator_degree(m, klass) for m in entries)
+            assert cohom.cell_dim(entries, klass) == want
+
+    def test_unknown_class_rejected_for_every_symbol(self):
+        for entries in ((), (2, 3)):
+            with pytest.raises(UnsupportedClass):
+                cohom.cell_dim(entries, "bogus")
+
+    def test_rejects_non_integral_entries(self):
+        for entries in ((2.7, 3), (2.0, 3), (np.float64(2), 3), ("2", 3), 5):
+            with pytest.raises(InvalidSymbol):
+                cohom.cell_dim(entries)
+
+    def test_accepts_numpy_integers(self):
+        assert cohom.cell_dim(np.array([2, 3])) == 8
+        assert cohom.cell_dim((np.int64(2), np.int32(3)), "skew") == 14
 
 
 class TestBetti:
@@ -72,6 +101,28 @@ class TestBetti:
     def test_matches_poincare(self, klass, ring):
         for n in range(2, 11):
             assert cohom.betti_table(n, klass, ring) == cohom.poincare_polynomial(n, klass)
+
+    @pytest.mark.parametrize("klass,ring", [("general", "Z"), ("symmetric", "Z2"), ("skew", "Z")])
+    def test_counts_the_enumerated_cell_dims(self, klass, ring):
+        for n in range(1, 13):
+            want = Counter(cohom.cell_dim(t, klass) for t in cohom.enumerate_symbols(n, klass))
+            assert cohom.betti_table(n, klass, ring) == want
+
+    def test_unknown_class_or_ring_rejected(self):
+        with pytest.raises(UnsupportedClass):
+            cohom.betti_table(3, "bogus")
+        with pytest.raises(UnsupportedCoefficients):
+            cohom.betti_table(3, "general", "Q")
+        with pytest.raises(InvalidSymbol):
+            cohom.betti_table(0)
+
+    @pytest.mark.parametrize("klass,ring", [("general", "Z"), ("symmetric", "Z2"), ("skew", "Z")])
+    def test_poincare_check_sees_a_dropped_symbol(self, monkeypatch, klass, ring):
+        # the Betti table is counted over the enumeration, not derived from
+        # the product expansion it is checked against
+        enumerate_symbols = cohom.enumerate_symbols
+        monkeypatch.setattr(cohom, "enumerate_symbols", lambda n, k: enumerate_symbols(n, k)[1:])
+        assert cohom.betti_table(6, klass, ring) != cohom.poincare_polynomial(6, klass)
 
 
 class TestPoincareData:
