@@ -161,9 +161,9 @@ def cmd_cells(args) -> int:
     _check_cap(args.n, MAX_TABLE_N)
     bound = args.n
     ambient = args.n if args.klass != "skew" else 2 * args.n
-    for entries in cohom.enumerate_symbols(bound, args.klass):
+    for entries, dim in zip(*cohom.cell_dims(bound, args.klass)):
         name = ",".join(str(m) for m in entries)
-        print(f"({name})\tdim={cohom.cell_dim(entries, args.klass)}")
+        print(f"({name})\tdim={dim}")
     print(f"total\t{2 ** (bound - 1)}\tambient={ambient}")
     return EXIT_OK
 

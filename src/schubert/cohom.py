@@ -54,18 +54,14 @@ def generator_degree(m: int, klass: str = "general") -> int:
 _DIM_FORM = {"general": (2, 1), "symmetric": (1, 0), "skew": (4, 3)}
 
 
-def _dim_form(klass: str) -> tuple[int, int]:
-    if klass not in CLASSES:
-        raise UnsupportedClass(f"unknown class {klass!r}")
-    return _DIM_FORM[klass]
-
-
 def cell_dim(m, klass: str = "general") -> int:
     """Real dimension of the Schubert cell of the symbol, the sum of its
     generator degrees, in closed form: 2|m| - l, |m| or 4|m| - 3l by class,
     where |m| is the entry sum and l the length.  The class and the symbol
     are both validated."""
-    scale, shift = _dim_form(klass)
+    if klass not in CLASSES:
+        raise UnsupportedClass(f"unknown class {klass!r}")
+    scale, shift = _DIM_FORM[klass]
     t = _check_entries(m)
     return scale * sum(t) - shift * len(t)
 
@@ -79,9 +75,21 @@ def enumerate_symbols(n: int, klass: str = "general") -> list[Monomial]:
     """
     if klass not in CLASSES:
         raise UnsupportedClass(f"unknown class {klass!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidSymbol(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise InvalidSymbol("need n >= 1")
     return [t for r in range(n) for t in itertools.combinations(range(2, n + 1), r)]
+
+
+def cell_dims(n: int, klass: str = "general") -> tuple[list[Monomial], list[int]]:
+    """The symbols of :func:`enumerate_symbols` and, in the same order, their
+    closed-form cell dimensions, with no generated symbol checked again."""
+    symbols = enumerate_symbols(n, klass)
+    scale, shift = _DIM_FORM[klass]
+    return symbols, [scale * sum(t) - shift * len(t) for t in symbols]
 
 
 def beta(m) -> int:
@@ -348,19 +356,16 @@ def betti_table(n: int, klass: str = "general", ring: str = "Z") -> dict[int, in
     """Per-degree ranks of the Schubert-cycle homology basis: the number of
     symbols of each cell dimension.
 
-    ``ring`` and ``klass`` are validated here and ``n`` by
+    ``ring`` is validated here and ``klass`` and ``n`` by
     :func:`enumerate_symbols`, whose symbols are counted by the closed-form
-    dimension of :func:`cell_dim` without checking each again.  The
-    symmetric class carries only Z/2Z fundamental classes, so it requires
-    ``ring="Z2"``.
+    dimensions of :func:`cell_dims`.  The symmetric class carries only
+    Z/2Z fundamental classes, so it requires ``ring="Z2"``.
     """
     if ring not in RINGS:
         raise UnsupportedCoefficients(f"unknown ring {ring!r}")
     if klass == "symmetric" and ring != "Z2":
         raise UnsupportedCoefficients("symmetric Schubert cycles only carry Z/2Z classes")
-    scale, shift = _dim_form(klass)
-    table = Counter(scale * sum(t) - shift * len(t) for t in enumerate_symbols(n, klass))
-    return dict(sorted(table.items()))
+    return dict(sorted(Counter(cell_dims(n, klass)[1]).items()))
 
 
 def expand_product(degrees) -> dict[int, int]:

@@ -48,10 +48,12 @@ from .rotor import (
     TAU,
     PseudoRotation,
     apply,
+    canonical_axis,
     check_class,
     jmul,
     min_index,
     model_element,
+    product_matrix,
     sigma,
 )
 from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
@@ -134,10 +136,7 @@ class OrderedFactorization:
         return flat
 
     def left_product(self) -> np.ndarray:
-        out = np.eye(self.ambient, dtype=np.complex128)
-        for f in self.all_factors():
-            out = out @ f.matrix()
-        return out
+        return product_matrix(self.all_factors(), self.ambient)
 
     def matrix(self) -> np.ndarray:
         p = self.left_product()
@@ -163,9 +162,7 @@ def _split_correction(
     work: list[PseudoRotation], tol: ToleranceConfig
 ) -> tuple[Optional[PseudoRotation], list[PseudoRotation]]:
     if work and work[0].min_index(tol) == 1:
-        e1 = np.zeros(work[0].n, dtype=np.complex128)
-        e1[0] = 1.0
-        return PseudoRotation(work[0].theta, e1), work[1:]
+        return PseudoRotation(work[0].theta, _e1(work[0].n)), work[1:]
     return None, work
 
 
@@ -297,14 +294,12 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
     """
     m = as_square_matrix(b)
     inc = factorize_su(b.adjoint() if validated(b, "general", "symmetric") else m.conj().T, tol)
-    flat = inc.all_factors()
-    dec = tuple(PseudoRotation(-f.theta, f.axis) for f in reversed(flat))
+    dec = tuple(f.inverse() for f in reversed(inc.all_factors()))
     fact = OrderedFactorization(
         klass="general",
         order="decreasing",
         ambient=inc.ambient,
         factors=dec,
-        correction=None,
         boundary_ambiguous=inc.boundary_ambiguous,
     )
     residual = float(np.linalg.norm(fact.matrix() - m))
@@ -336,7 +331,6 @@ def reverse_order(
             order="decreasing",
             ambient=f.ambient,
             factors=tuple(reversed(out)),
-            correction=None,
             boundary_ambiguous=f.boundary_ambiguous,
         )
     else:
@@ -387,41 +381,45 @@ def symbol_invariance_check(b, tol: ToleranceConfig = DEFAULT_TOL) -> Invariance
 
 def _real_axis(x: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Strip the global phase (relative to the largest coordinate) and check
-    the axis is real; returns the unit real vector with positive min-index
-    coordinate."""
+    the axis is real; returns the real part, whose line PseudoRotation
+    canonicalises."""
     i = int(np.argmax(np.abs(x)))
     y = x * (np.conj(x[i]) / abs(x[i]))
     if float(np.linalg.norm(y.imag)) > tol.tol_residual * 100:
         raise RealAxisExtractionFailure(
             f"imaginary residual {np.linalg.norm(y.imag):.3g} on a symmetric-model axis"
         )
-    r = y.real / np.linalg.norm(y.real)
-    k = min_index(r.astype(np.complex128), tol)
-    if r[k - 1] < 0:
-        r = -r
-    return r.astype(np.complex128)
+    return y.real
+
+
+def _conjugate_rest(axes: np.ndarray, start: int, c: PseudoRotation) -> None:
+    """Conjugate the stacked axes in rows ``start:`` by ``c^-1`` in place:
+    one rank-1 update of all of them, then one canonicalisation."""
+    rest = axes[start:]
+    if len(rest):
+        rest -= (1.0 - np.exp(-1j * c.theta)) * np.outer(rest @ np.conj(c.axis), c.axis)
+        axes[start:] = canonical_axis(rest)
 
 
 def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Ordered symmetric factorization ``B = C_1 ... C_k C_k ... C_1`` of a
     symmetric special unitary matrix by half-angle real-axis rotations.
 
-    Works down the decreasing factorization: the lowest factor must be a
-    real-axis rotation; its half-angle square root is split off by Cartan
-    conjugation and the remaining factors are conjugated in place.
+    Works up the decreasing factorization: the lowest factor must be a
+    real-axis rotation; its half-angle square root C is split off by Cartan
+    conjugation, which conjugates all remaining axes by ``C^-1`` at once,
+    one rank-1 update of their stacked rows costing O(k n).
     """
     elem = model_element(b, "symmetric", tol)
     b = elem.matrix
     dec = factorize_decreasing(elem, tol)
-    work = list(reversed(dec.factors))
+    work = dec.factors[::-1]
+    axes = np.array([f.axis for f in work]).reshape(len(work), b.shape[0])
     halves: list[PseudoRotation] = []
-    for i in range(len(work)):
-        a1 = work[i]
-        c = PseudoRotation(a1.theta / 2.0, _real_axis(a1.axis, tol))
+    for i, f in enumerate(work):
+        c = PseudoRotation(f.theta / 2.0, _real_axis(axes[i], tol))
         halves.append(c)
-        cinv = c.inverse()
-        for j in range(i + 1, len(work)):
-            work[j] = PseudoRotation(work[j].theta, apply(cinv, work[j].axis))
+        _conjugate_rest(axes, i + 1, c)
     correction, factors = _split_correction(halves, tol)
     fact = OrderedFactorization(
         klass="symmetric",
@@ -443,35 +441,35 @@ def factorize_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorizatio
 
     The decreasing factorization must split into quaternionic pairs: an
     even factor count, lowest min-index odd, its partner one higher and
-    equal to ``sigma(A_1*)``.  Pairs are peeled off by Cartan conjugation;
-    the partner is recomputed as ``sigma(A_1*)`` rather than trusted from
-    the factorization.  Symbol entries are the half-indices (m+1)/2 of the
+    equal to ``sigma(A_1*)``.  Pairs are peeled off by Cartan conjugation,
+    one rank-1 update of the stacked remaining axes by ``A_1^-1``; the
+    partner is recomputed as ``sigma(A_1*)`` rather than trusted from the
+    factorization.  Symbol entries are the half-indices (m+1)/2 of the
     emitted factors, the (1,2) correction pair excluded.
     """
     elem = model_element(b, "skew", tol)
     b = elem.matrix
     dec = factorize_decreasing(elem, tol)
-    work = list(reversed(dec.factors))
+    work = dec.factors[::-1]
+    axes = np.array([f.axis for f in work]).reshape(len(work), b.shape[0])
     if len(work) % 2 != 0:
         raise StructureViolation(f"odd factor count {len(work)}")
     halves: list[PseudoRotation] = []
-    while work:
-        a1 = work[0]
+    for i in range(0, len(work), 2):
+        a1 = PseudoRotation(work[i].theta, axes[i])
         m1 = a1.min_index(tol)
         if m1 % 2 == 0:
             raise StructureViolation(f"lowest min-index {m1} is even")
-        a2 = work[1]
-        if a2.min_index(tol) != m1 + 1:
-            raise StructureViolation(
-                f"pair indices ({m1}, {a2.min_index(tol)}) are not consecutive"
-            )
+        a2 = PseudoRotation(work[i + 1].theta, axes[i + 1])
+        m2 = a2.min_index(tol)
+        if m2 != m1 + 1:
+            raise StructureViolation(f"pair indices ({m1}, {m2}) are not consecutive")
         partner = PseudoRotation(a1.theta, jmul(a1.axis))
         gap = float(np.linalg.norm(a2.matrix() - partner.matrix()))
         if gap > tol.structure:
             raise StructureViolation(f"j-partner deviates by {gap:.3g}")
         halves.append(a1)
-        a1inv = a1.inverse()
-        work = [PseudoRotation(f.theta, apply(a1inv, f.axis)) for f in work[2:]]
+        _conjugate_rest(axes, i + 2, a1)
     correction, factors = _split_correction(halves, tol)
     fact = OrderedFactorization(
         klass="skew",
@@ -525,7 +523,6 @@ def schubert_map(
     if len(params) != symbol.length:
         raise InvalidSymbol(f"expected {symbol.length} parameters, got {len(params)}")
     n = symbol.ambient
-    out = np.eye(n, dtype=np.complex128)
     total = 0.0
     mats = []
     for m, (t, line) in zip(symbol.entries, params):

@@ -58,9 +58,17 @@ def min_index(x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return int(big[-1]) + 1
 
 
+def _row_norms(rows: np.ndarray):
+    """Row norms as a column; one row is summed as np.linalg.norm sums a vector."""
+    if len(rows) == 1:
+        r = rows[0]
+        return np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+    return np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def canonical_axis(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Unit representative of the line <x> whose min-index coordinate is
-    real and positive.
+    real and positive; a 2-D array is a stack of axes, one per row.
 
     Coordinates below the residual tolerance are snapped to zero first:
     they are indistinguishable from zero at the working precision of the
@@ -68,14 +76,18 @@ def canonical_axis(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     for axes sitting on a cell boundary.
     """
     xv = np.asarray(x, dtype=np.complex128)
-    norm = float(np.linalg.norm(xv))
-    if norm <= tol.tol_zero:
-        raise ZeroVector("cannot normalize a zero axis")
-    xv = np.where(np.abs(xv) <= tol.axis_snap * norm, 0.0, xv)
-    xv = xv / np.linalg.norm(xv)
-    k = min_index(xv, tol)
-    pivot = xv[k - 1]
-    return xv * (np.conj(pivot) / abs(pivot))
+    rows = np.atleast_2d(xv)
+    norm = _row_norms(rows)
+    if not tol.tol_zero < norm.min() < math.inf:
+        raise ZeroVector("cannot normalize a zero or non-finite axis")
+    keep = np.abs(rows) > tol.axis_snap * norm
+    rows = rows * keep
+    rows /= _row_norms(rows)
+    # the min-index coordinate is the last one kept
+    pivot = rows[np.arange(len(rows)), keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)]
+    # hypot, unlike np.abs of a complex array, rounds as abs of a scalar
+    phase = pivot.conj() / np.hypot(pivot.real, pivot.imag)
+    return (rows * phase[:, None]).reshape(xv.shape)
 
 
 @dataclass(frozen=True)
@@ -100,9 +112,6 @@ class PseudoRotation:
 
     def min_index(self, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         return min_index(self.axis, tol)
-
-    def is_identity(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        return abs(self.theta) < tol.tol_angle
 
     def matrix(self) -> np.ndarray:
         x = self.axis
@@ -130,10 +139,10 @@ def apply(rot: PseudoRotation, v) -> np.ndarray:
 
 
 def product_matrix(rots, n: int) -> np.ndarray:
-    """Matrix of the left-to-right product of pseudo-rotations."""
+    """Left-to-right product, by rank-1 updates ``P -= (1 - e^(i theta)) (P x) x*``."""
     out = np.eye(n, dtype=np.complex128)
     for r in rots:
-        out = out @ r.matrix()
+        out -= (1.0 - np.exp(1j * r.theta)) * np.outer(out @ r.axis, np.conj(r.axis))
     return out
 
 
@@ -278,8 +287,7 @@ class HPseudoRotation:
         )
 
     def matrix(self) -> np.ndarray:
-        one, two = self.halves()
-        return one.matrix() @ two.matrix()
+        return product_matrix(self.halves(), self.n)
 
 
 def sigma(c, klass: str) -> np.ndarray:

@@ -153,6 +153,17 @@ class TestTables:
         assert out.returncode == 0
         assert "(2,3)\tdim=8" in out.stdout
 
+    @pytest.mark.parametrize("klass", ["general", "symmetric", "skew"])
+    def test_cells_listing_is_each_symbol_with_its_cell_dim(self, capsys, klass):
+        from schubert import cli, cohom
+
+        for n in range(1, 13):
+            assert cli.main(["cells", "--class", klass, "--n", str(n)]) == 0
+            ambient = n if klass != "skew" else 2 * n
+            want = "".join(f"({','.join(map(str, t))})\tdim={cohom.cell_dim(t, klass)}\n"
+                           for t in cohom.enumerate_symbols(n, klass))
+            assert capsys.readouterr().out == want + f"total\t{2 ** (n - 1)}\tambient={ambient}\n"
+
     def test_betti_verdict(self):
         out = run_cli("betti", "--class", "general", "--n", "3")
         assert out.returncode == 0

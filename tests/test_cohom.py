@@ -48,6 +48,15 @@ class TestEnumeration:
             assert cohom.enumerate_symbols(n, klass) == sorted(subsets, key=lambda t: (len(t), t))
 
 
+    @pytest.mark.parametrize("bad", [3.5, "4", None])
+    def test_non_integral_n_rejected(self, bad):
+        with pytest.raises(InvalidSymbol):
+            cohom.enumerate_symbols(bad)
+
+    def test_accepts_numpy_integer_n(self):
+        assert cohom.enumerate_symbols(np.int64(4)) == cohom.enumerate_symbols(4)
+
+
 class TestCellDim:
     def test_general(self):
         assert cohom.cell_dim((2, 3), "general") == 8
@@ -67,6 +76,12 @@ class TestCellDim:
         for entries in cohom.enumerate_symbols(10, klass):
             want = sum(cohom.generator_degree(m, klass) for m in entries)
             assert cohom.cell_dim(entries, klass) == want
+
+    @pytest.mark.parametrize("klass", cohom.CLASSES)
+    def test_cell_dims_pairs_each_symbol_with_its_dim(self, klass):
+        symbols, dims = cohom.cell_dims(9, klass)
+        assert symbols == cohom.enumerate_symbols(9, klass)
+        assert dims == [cohom.cell_dim(t, klass) for t in symbols]
 
     def test_unknown_class_rejected_for_every_symbol(self):
         for entries in ((), (2, 3)):
@@ -107,6 +122,11 @@ class TestBetti:
         for n in range(1, 13):
             want = Counter(cohom.cell_dim(t, klass) for t in cohom.enumerate_symbols(n, klass))
             assert cohom.betti_table(n, klass, ring) == want
+
+    @pytest.mark.parametrize("bad", [3.5, "4"])
+    def test_non_integral_n_rejected(self, bad):
+        with pytest.raises(InvalidSymbol):
+            cohom.betti_table(bad)
 
     def test_unknown_class_or_ring_rejected(self):
         with pytest.raises(UnsupportedClass):

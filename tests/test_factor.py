@@ -1,15 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schubert import numlin, rotor
+from schubert import factor, milnor, numlin, rotor
 from schubert.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     InvalidSymbol,
     NotInModel,
+    SchubertError,
+    StructureViolation,
     UnsupportedClass,
 )
 from schubert.factor import (
+    OrderedFactorization,
     SchubertSymbol,
     cartan_model_sample,
     cell_sample,
@@ -257,6 +263,101 @@ class TestSkewEngine:
     def test_rejects_non_model(self):
         with pytest.raises(NotInModel):
             factorize_skew(np.eye(3))
+
+
+def _per_factor_cartan(m, klass, tol=factor.DEFAULT_TOL):
+    """Reference Cartan engine: after each peel, every remaining factor is
+    conjugated on its own and rebuilt as a PseudoRotation, with the same
+    gates as the engines."""
+    elem = rotor.model_element(m, klass, tol)
+    dec = factorize_decreasing(elem, tol)
+    work = list(reversed(dec.factors))
+    if klass == "skew" and len(work) % 2:
+        raise StructureViolation("odd factor count")
+    halves = []
+    while work:
+        if klass == "symmetric":
+            c, rest = PseudoRotation(work[0].theta / 2.0, factor._real_axis(work[0].axis, tol)), work[1:]
+        else:
+            c, a2, rest = work[0], work[1], work[2:]
+            m1 = c.min_index(tol)
+            if m1 % 2 == 0 or a2.min_index(tol) != m1 + 1:
+                raise StructureViolation("pair indices")
+            partner = PseudoRotation(c.theta, rotor.jmul(c.axis))
+            if np.linalg.norm(a2.matrix() - partner.matrix()) > tol.structure:
+                raise StructureViolation("j-partner")
+        halves.append(c)
+        work = [PseudoRotation(f.theta, rotor.apply(c.inverse(), f.axis)) for f in rest]
+    correction, factors = factor._split_correction(halves, tol)
+    n = elem.matrix.shape[0]
+    fact = OrderedFactorization(klass, "increasing", n, tuple(factors), correction,
+                                boundary_ambiguous=dec.boundary_ambiguous)
+    residual = float(np.linalg.norm(fact.matrix() - elem.matrix))
+    if residual > tol.structure * n:
+        raise ConvergenceFailure("reconstruction residual")
+    return replace(fact, residual=residual)
+
+
+def _engine_input(monkeypatch, b, klass):
+    """The compact-model point that identify hands to the Cartan engine."""
+    seen = []
+
+    class Seen(Exception):
+        pass
+
+    def capture(m, tol=factor.DEFAULT_TOL):
+        seen.append(m)
+        raise Seen
+
+    with monkeypatch.context() as patch:
+        patch.setattr(milnor, f"factorize_{klass}", capture)
+        with pytest.raises(Seen):
+            milnor.identify(b, klass)
+    return seen[0]
+
+
+def _outcome(engine, m):
+    try:
+        return engine(m)
+    except SchubertError as exc:
+        return type(exc)
+
+
+def _parity_inputs():
+    rng = np.random.default_rng(7)
+    cases = [((2, 6, 7, 8), 16, "skew", 1495112468, True)]  # raises StructureViolation
+    for klass in ("symmetric", "skew"):
+        for n, dresses in ((4, (False, True)), (8, (False, True)), (12, (False, True)), (16, (False,))):
+            top = range(2, (n if klass == "symmetric" else n // 2) + 1)
+            for dress in dresses:
+                for length in rng.choice(len(top) + 1, 6):
+                    entries = tuple(sorted(int(m) for m in rng.choice(top, length, replace=False)))
+                    cases.append((entries, n, klass, int(rng.integers(2**31)), dress))
+    return cases
+
+
+class TestCartanEngineParity:
+    """The stacked rank-1 conjugation of the engines against the
+    per-factor loop it replaces."""
+
+    def test_same_outcome_and_factors(self, monkeypatch):
+        raised = set()
+        for entries, n, klass, seed, dress in _parity_inputs():
+            b = milnor.fiber_sample(SchubertSymbol(entries, n, klass), seed, dress=dress)
+            m = _engine_input(monkeypatch, b, klass)
+            engine = factorize_symmetric if klass == "symmetric" else factorize_skew
+            got, want = _outcome(engine, m), _outcome(lambda x: _per_factor_cartan(x, klass), m)
+            case = (entries, n, klass, seed, dress)
+            if isinstance(want, type):
+                assert got is want, case
+                raised.add(want)
+                continue
+            assert got.symbol().entries == want.symbol().entries, case
+            assert got.boundary_ambiguous == want.boundary_ambiguous, case
+            pairs = list(zip(got.all_factors(), want.all_factors(), strict=True))
+            assert all(abs(f.theta - g.theta) <= 1e-12 and np.max(np.abs(f.axis - g.axis)) <= 1e-12
+                       for f, g in pairs), case
+        assert StructureViolation in raised
 
 
 class TestSchubertMaps:

@@ -71,6 +71,38 @@ class TestMinIndex:
             rotor.min_index(np.zeros(3))
 
 
+class TestCanonicalAxis:
+    def test_stack_matches_each_row(self, rng):
+        rows = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        rows[:, 4:] *= 10.0 ** rng.uniform(-12, -6, size=(8, 2))  # some snap, some stay
+        rows[2, 3:] = 0.0
+        rows[5, 1:] = 1e-9
+        rows *= 10.0 ** rng.uniform(-3, 3, size=(8, 1))
+        stacked = rotor.canonical_axis(rows)
+        assert stacked.shape == rows.shape
+        for row, got in zip(rows, stacked):
+            want = rotor.canonical_axis(row)
+            assert np.max(np.abs(got - want)) <= 1e-15
+            assert np.array_equal(got == 0, want == 0)
+            assert rotor.min_index(got) == rotor.min_index(want)
+            pivot = got[rotor.min_index(got) - 1]
+            assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(ZeroVector):
+            rotor.canonical_axis(np.array([[0.6, 0.8j, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ZeroVector):
+            rotor.canonical_axis(np.zeros(3))
+
+
+class TestProductMatrix:
+    def test_matches_dense_product(self, rng):
+        rots = [PseudoRotation(t, random_axis(rng, 5, m)) for t, m in ((0.4, 2), (-2.9, 5), (np.pi, 3))]
+        dense = rots[0].matrix() @ rots[1].matrix() @ rots[2].matrix()
+        assert np.linalg.norm(rotor.product_matrix(rots, 5) - dense) <= 1e-14
+        assert_allclose(rotor.product_matrix([], 3), np.eye(3))
+
+
 class TestConjugation:
     def test_identity_conjugator(self, rng):
         rot = PseudoRotation(0.7, random_axis(rng, 3))
