@@ -104,8 +104,7 @@ def epsilon(m, mp) -> int:
     a, b = _check_entries(m), _check_entries(mp)
     if set(a) & set(b):
         raise NotDisjoint(f"{a} and {b} share entries")
-    inversions = sum(1 for x in a for y in b if x > y)
-    return -1 if inversions % 2 else 1
+    return _merge_sign(a, b)[1]
 
 
 def merge_symbols(m, mp) -> Monomial:
@@ -268,12 +267,10 @@ def coproduct(m) -> TensorElement:
     ``(-1)^(l(m') l(m'')) epsilon_(m', m'') e_(m') x e_(m'')``."""
     t = _check_entries(m)
     terms: dict[tuple[Monomial, Monomial], int] = {}
-    k = len(t)
-    for r in range(0, k + 1):
+    for r in range(0, len(t) + 1):
         for left in itertools.combinations(t, r):
             right = tuple(x for x in t if x not in left)
-            sign = (-1) ** (len(left) * len(right)) * epsilon(left, right)
-            terms[(left, right)] = sign
+            terms[(left, right)] = (-1) ** (r * len(right)) * _merge_sign(left, right)[1]
     return TensorElement(terms)
 
 

@@ -6,10 +6,12 @@ those indices (entries 1 dropped into a leading correction factor) is the
 Schubert symbol of the matrix and names its Schubert cell.  The general
 engine reads that factorization off directly, inverting the forward cell
 map: row j of the matrix determines the factor with min-index j, which is
-then peeled off by a rank-1 update, for j = n down to 2.  A second peel
-of a slightly perturbed copy tells whether the symbol is stable under
-rounding; near a cell boundary it may not be, and the result is then
-flagged boundary-ambiguous.  The symmetric
+then peeled off by a rank-1 update, for j = n down to 2.  The peel keeps
+angles and axes in stacked arrays, canonicalises the axes in one call,
+and pseudo-rotation objects are built only for the factorization that is
+returned.  A second peel of a slightly perturbed copy tells whether the
+symbol is stable under rounding; near a cell boundary it may not be, and
+the result is then flagged boundary-ambiguous.  The symmetric
 and skew-symmetric Cartan models carry analogous unique factorizations:
 half-angle real-axis factors applied by iterated Cartan conjugation, and
 quaternionic pairs ``(A, sigma(A*))`` peeled off two at a time.
@@ -20,7 +22,9 @@ used throughout the test suite.
 """
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -52,6 +56,7 @@ from .rotor import (
     check_class,
     jmul,
     min_index,
+    min_indices,
     model_element,
     product_matrix,
     sigma,
@@ -147,7 +152,8 @@ class OrderedFactorization:
         return p @ sigma(p.conj().T, "skew")
 
     def min_indices(self, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
-        return tuple(f.min_index(tol) for f in self.factors)
+        axes = np.array([f.axis for f in self.factors]).reshape(len(self.factors), self.ambient)
+        return tuple(min_indices(axes, tol).tolist())
 
     def symbol(self, tol: ToleranceConfig = DEFAULT_TOL) -> SchubertSymbol:
         mins = sorted(self.min_indices(tol))
@@ -162,33 +168,40 @@ def _split_correction(
     work: list[PseudoRotation], tol: ToleranceConfig
 ) -> tuple[Optional[PseudoRotation], list[PseudoRotation]]:
     if work and work[0].min_index(tol) == 1:
-        return PseudoRotation(work[0].theta, _e1(work[0].n)), work[1:]
+        return PseudoRotation.of_canonical(work[0].theta, _e1(work[0].n)), work[1:]
     return None, work
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def _peel_rows(
     w: np.ndarray, tol: ToleranceConfig
-) -> tuple[list[PseudoRotation], float, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, list[int], float, np.ndarray, bool]:
     """Peel the factors with min-index >= 2 off the right of the unitary
     ``w``, reading each from the bottom row it still moves.
 
-    Returns the factors in product order, the correction angle left at
-    ``w[0, 0]``, the deviation norm of every row at the moment it was read
-    (entry j-1 for row j) and whether a thresholded quantity landed in its
+    Returns the angles and canonical axes of the factors, stacked in
+    product order, with their min-indices; the correction angle left at
+    ``w[0, 0]``; the deviation norm of every row at the moment it was read
+    (entry j-1 for row j); and whether a thresholded quantity landed in its
     gray zone.  Rows below j that a factor moves and no later factor
     touches are multiples of the same axis; the angle is fitted over all
     of them, which keeps it well conditioned when the pivot of row j is
-    small but the line has weight in those rows.
+    small but the line has weight in those rows.  Each axis is snapped
+    before its rank-1 update, which touches only the rows not yet read
+    and the columns of the factor's support.
     """
     n = w.shape[0]
     w = w.copy()
     gray = False
-    factors: list[PseudoRotation] = []
-    devs = np.zeros(n)
+    # entry j-1 holds the factor read off row j, if any
+    thetas, axes, devs = np.zeros(n), np.zeros((n, n), dtype=np.complex128), np.zeros(n)
     for j in range(n, 1, -1):
         dev = -np.conj(w[j - 1, :j])
         dev[j - 1] += 1.0
-        d = float(np.linalg.norm(dev))
+        d = _norm(dev)
         devs[j - 1] = d
         gray = gray or in_gray_zone(d, tol.tol_angle)
         if d < tol.tol_angle:
@@ -202,17 +215,23 @@ def _peel_rows(
             dr = -np.conj(w[r - 1, :j])
             dr[r - 1] += 1.0
             cr = np.vdot(x, dr)
-            if np.linalg.norm(dr - cr * x) >= tol.tol_angle:
+            if _norm(dr - cr * x) >= tol.tol_angle:
                 break
             num += x[r - 1] * cr
             den += abs(x[r - 1]) ** 2
-        axis = np.concatenate([x, np.zeros(n - j, dtype=np.complex128)])
-        f = PseudoRotation(-float(np.angle(1.0 - num / den)), axis)
-        w -= (1.0 - np.exp(-1j * f.theta)) * np.outer(w @ f.axis, np.conj(f.axis))
-        factors.append(f)
-    factors.reverse()
+        thetas[j - 1] = -cmath.phase(1.0 - num / den)
+        x *= np.abs(x) > tol.axis_snap  # x is a unit vector
+        x /= _norm(x)
+        axes[j - 1, :j] = x
+        rows = w[: j - 1, :j]
+        rows -= ((rows @ x) * (1.0 - cmath.exp(-1j * thetas[j - 1])))[:, None] * x.conj()
+    read = devs >= tol.tol_angle
+    thetas, axes = thetas[read], axes[read]
+    if len(axes):
+        axes = canonical_axis(axes, tol)
     phi = float(np.angle(w[0, 0]))
-    return factors, phi, devs, gray or in_gray_zone(phi, tol.tol_angle)
+    gray = gray or in_gray_zone(phi, tol.tol_angle)
+    return thetas, axes, min_indices(axes, tol).tolist(), phi, devs, gray
 
 
 #: Size of the probing perturbation in :func:`factorize_su`, in units of
@@ -240,9 +259,11 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     ``conj(e_j - (1 - e^(-i theta)) x_j x)``.  For j = n, ..., 2 the axis of
     that factor is read off row j of the unitary polar factor W of the
     input, its angle is fitted over row j and the rows below it that are
-    multiples of the axis, and the factor is peeled off the right of W by a
-    rank-1 update; the phase left at W[0, 0] is the min-index-1 correction,
-    which is excluded from the Schubert symbol.
+    multiples of the axis, the axis is snapped with ``tol.axis_snap``, and
+    the factor is peeled off the right of W by a rank-1 update of the rows
+    not yet read; the phase left at W[0, 0] is the min-index-1 correction,
+    which is excluded from the Schubert symbol.  The axes are canonicalised
+    together when the peel ends, and only this peel builds PseudoRotations.
 
     ``boundary_ambiguous`` is raised when a row deviation, a pivot
     coordinate or the correction angle lands in the gray zone of its
@@ -261,22 +282,21 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     n = b.shape[0]
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
-    factors, phi, devs, gray = _peel_rows(w, tol)
-    mins = [f.min_index(tol) for f in factors]
+    thetas, axes, mins, phi, devs, gray = _peel_rows(w, tol)
     if any(y <= x for x, y in zip(mins, mins[1:])):
         raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
-    probe, _, probe_devs, probe_gray = _peel_rows(w @ _probe(n), tol)
+    _, _, probe_mins, _, probe_devs, probe_gray = _peel_rows(w @ _probe(n), tol)
     moved = np.abs(devs - probe_devs)
     noisy = (moved >= tol.tol_angle / GRAY_SPAN) & (
         np.minimum(devs, probe_devs) < GRAY_SPAN * moved
     )
-    gray = gray or probe_gray or bool(noisy.any()) or [f.min_index(tol) for f in probe] != mins
+    gray = gray or probe_gray or bool(noisy.any()) or probe_mins != mins
     fact = OrderedFactorization(
         klass="general",
         order="increasing",
         ambient=n,
-        factors=tuple(factors),
-        correction=PseudoRotation(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None,
+        factors=tuple(map(PseudoRotation.of_canonical, thetas, axes)),
+        correction=PseudoRotation.of_canonical(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None,
         boundary_ambiguous=gray,
     )
     residual = float(np.linalg.norm(fact.matrix() - b))
@@ -290,20 +310,19 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
 
     Obtained by factorizing B^-1 in increasing order and inverting each
     factor; the min-index-1 factor, when present, stays explicit at the
-    right end of the product.
+    right end of the product.  The residual is that of B^-1, since
+    ``||P^-1 - B||_F = ||P - B^-1||_F`` for a unitary product P.
     """
     m = as_square_matrix(b)
     inc = factorize_su(b.adjoint() if validated(b, "general", "symmetric") else m.conj().T, tol)
-    dec = tuple(f.inverse() for f in reversed(inc.all_factors()))
-    fact = OrderedFactorization(
+    return OrderedFactorization(
         klass="general",
         order="decreasing",
         ambient=inc.ambient,
-        factors=dec,
+        factors=tuple(f.inverse() for f in reversed(inc.all_factors())),
+        residual=inc.residual,
         boundary_ambiguous=inc.boundary_ambiguous,
     )
-    residual = float(np.linalg.norm(fact.matrix() - m))
-    return replace(fact, residual=residual)
 
 
 def reverse_order(
@@ -381,24 +400,45 @@ def symbol_invariance_check(b, tol: ToleranceConfig = DEFAULT_TOL) -> Invariance
 
 def _real_axis(x: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Strip the global phase (relative to the largest coordinate) and check
-    the axis is real; returns the real part, whose line PseudoRotation
-    canonicalises."""
+    the axis is real; returns the canonical axis of the real part."""
     i = int(np.argmax(np.abs(x)))
     y = x * (np.conj(x[i]) / abs(x[i]))
     if float(np.linalg.norm(y.imag)) > tol.tol_residual * 100:
         raise RealAxisExtractionFailure(
             f"imaginary residual {np.linalg.norm(y.imag):.3g} on a symmetric-model axis"
         )
-    return y.real
+    return canonical_axis(y.real, tol)
 
 
-def _conjugate_rest(axes: np.ndarray, start: int, c: PseudoRotation) -> None:
+def _conjugate_rest(axes: np.ndarray, start: int, c: PseudoRotation, tol: ToleranceConfig) -> None:
     """Conjugate the stacked axes in rows ``start:`` by ``c^-1`` in place:
     one rank-1 update of all of them, then one canonicalisation."""
     rest = axes[start:]
     if len(rest):
-        rest -= (1.0 - np.exp(-1j * c.theta)) * np.outer(rest @ np.conj(c.axis), c.axis)
-        axes[start:] = canonical_axis(rest)
+        rest -= ((rest @ c.axis.conj()) * (1.0 - np.exp(-1j * c.theta)))[:, None] * c.axis
+        axes[start:] = canonical_axis(rest, tol)
+
+
+def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -> float:
+    """``||A_(theta_x, x) - A_(theta_y, y)||_F`` for unit x, y in O(n): the two
+    rank-1 terms restricted to span(x, y), where y = c x + s e, e a unit vector."""
+    c = complex(np.vdot(x, y))
+    s, c2 = _norm(y - c * x), abs(c) ** 2
+    alpha, beta = 1.0 - cmath.exp(1j * theta_x), 1.0 - cmath.exp(1j * theta_y)
+    return math.sqrt(abs(beta * c2 - alpha) ** 2 + abs(beta) ** 2 * s * s * (2.0 * c2 + s * s))
+
+
+def _cartan_result(klass: str, halves: list[PseudoRotation], b: np.ndarray, gray: bool,
+                   tol: ToleranceConfig) -> OrderedFactorization:
+    """The increasing factorization of the model element ``b`` from its
+    peeled half factors, after the reconstruction residual gate."""
+    correction, factors = _split_correction(halves, tol)
+    fact = OrderedFactorization(klass, "increasing", b.shape[0], tuple(factors), correction,
+                                boundary_ambiguous=gray)
+    residual = float(np.linalg.norm(fact.matrix() - b))
+    if residual > tol.structure * b.shape[0]:
+        raise ConvergenceFailure(f"{klass} reconstruction residual {residual:.3g}")
+    return replace(fact, residual=residual)
 
 
 def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -417,22 +457,10 @@ def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactori
     axes = np.array([f.axis for f in work]).reshape(len(work), b.shape[0])
     halves: list[PseudoRotation] = []
     for i, f in enumerate(work):
-        c = PseudoRotation(f.theta / 2.0, _real_axis(axes[i], tol))
+        c = PseudoRotation.of_canonical(f.theta / 2.0, _real_axis(axes[i], tol))
         halves.append(c)
-        _conjugate_rest(axes, i + 1, c)
-    correction, factors = _split_correction(halves, tol)
-    fact = OrderedFactorization(
-        klass="symmetric",
-        order="increasing",
-        ambient=b.shape[0],
-        factors=tuple(factors),
-        correction=correction,
-        boundary_ambiguous=dec.boundary_ambiguous,
-    )
-    residual = float(np.linalg.norm(fact.matrix() - b))
-    if residual > tol.structure * b.shape[0]:
-        raise ConvergenceFailure(f"symmetric reconstruction residual {residual:.3g}")
-    return replace(fact, residual=residual)
+        _conjugate_rest(axes, i + 1, c, tol)
+    return _cartan_result("symmetric", halves, b, dec.boundary_ambiguous, tol)
 
 
 def factorize_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -456,33 +484,18 @@ def factorize_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorizatio
         raise StructureViolation(f"odd factor count {len(work)}")
     halves: list[PseudoRotation] = []
     for i in range(0, len(work), 2):
-        a1 = PseudoRotation(work[i].theta, axes[i])
-        m1 = a1.min_index(tol)
+        a1 = PseudoRotation.of_canonical(work[i].theta, axes[i])
+        m1, m2 = min_indices(axes[i : i + 2], tol).tolist()
         if m1 % 2 == 0:
             raise StructureViolation(f"lowest min-index {m1} is even")
-        a2 = PseudoRotation(work[i + 1].theta, axes[i + 1])
-        m2 = a2.min_index(tol)
         if m2 != m1 + 1:
             raise StructureViolation(f"pair indices ({m1}, {m2}) are not consecutive")
-        partner = PseudoRotation(a1.theta, jmul(a1.axis))
-        gap = float(np.linalg.norm(a2.matrix() - partner.matrix()))
+        gap = _partner_gap(axes[i + 1], work[i + 1].theta, jmul(a1.axis), a1.theta)
         if gap > tol.structure:
             raise StructureViolation(f"j-partner deviates by {gap:.3g}")
         halves.append(a1)
-        _conjugate_rest(axes, i + 2, a1)
-    correction, factors = _split_correction(halves, tol)
-    fact = OrderedFactorization(
-        klass="skew",
-        order="increasing",
-        ambient=b.shape[0],
-        factors=tuple(factors),
-        correction=correction,
-        boundary_ambiguous=dec.boundary_ambiguous,
-    )
-    residual = float(np.linalg.norm(fact.matrix() - b))
-    if residual > tol.structure * b.shape[0]:
-        raise ConvergenceFailure(f"skew reconstruction residual {residual:.3g}")
-    return replace(fact, residual=residual)
+        _conjugate_rest(axes, i + 2, a1, tol)
+    return _cartan_result("skew", halves, b, dec.boundary_ambiguous, tol)
 
 
 def _e1(n: int) -> np.ndarray:
@@ -508,6 +521,26 @@ def _pad_line(line, m: int, n: int, tol: ToleranceConfig) -> np.ndarray:
     return v / nrm
 
 
+def _cell_rotations(symbol: SchubertSymbol, params, klass: str, scale: float,
+                    tol: ToleranceConfig) -> list[PseudoRotation]:
+    """``A_(-scale T, e_1)`` and the ``A_(scale t_j, L_j)`` of a cell map of
+    the class, T the sum of the t_j, with the lines inside C^(m_j) (inside
+    C^(2 m_j - 1) for the skew class, and real for the symmetric class)."""
+    if symbol.klass != klass:
+        name = {"general": "schubert_map", "symmetric": "schubert_map_sy"}.get(klass, "schubert_map_sk")
+        raise UnsupportedClass(f"{name} needs a {klass}-class symbol")
+    if len(params) != symbol.length:
+        raise InvalidSymbol(f"expected {symbol.length} parameters, got {len(params)}")
+    n, total, rots = symbol.ambient, 0.0, []
+    for m, (t, line) in zip(symbol.entries, params):
+        total += float(t)
+        v = _pad_line(line, 2 * m - 1 if klass == "skew" else m, n, tol)
+        if klass == "symmetric" and float(np.linalg.norm(v.imag)) > tol.tol_zero * 100:
+            raise PreconditionViolated("symmetric cells need real lines")
+        rots.append(PseudoRotation(scale * float(t), v))
+    return [PseudoRotation(-scale * total, _e1(n))] + rots
+
+
 def schubert_map(
     symbol: SchubertSymbol, params, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
@@ -518,21 +551,8 @@ def schubert_map(
     ``symbol`` for interior parameters (t_j in (0,1), positive m_j-th
     coordinate).
     """
-    if symbol.klass != "general":
-        raise UnsupportedClass("schubert_map needs a general-class symbol")
-    if len(params) != symbol.length:
-        raise InvalidSymbol(f"expected {symbol.length} parameters, got {len(params)}")
-    n = symbol.ambient
-    total = 0.0
-    mats = []
-    for m, (t, line) in zip(symbol.entries, params):
-        total += float(t)
-        v = _pad_line(line, m, n, tol)
-        mats.append(PseudoRotation(TAU * float(t), v).matrix())
-    out = PseudoRotation(-TAU * total, _e1(n)).matrix()
-    for mat in mats:
-        out = out @ mat
-    return out
+    rots = _cell_rotations(symbol, params, "general", TAU, tol)
+    return functools.reduce(np.matmul, [r.matrix() for r in rots])
 
 
 def schubert_map_sy(
@@ -541,22 +561,8 @@ def schubert_map_sy(
     """Forward parametrization of a symmetric Schubert cell: the Cartan
     conjugate of the identity by ``A_(-pi T, e_1) prod_j A_(pi t_j, L_j)``
     with real lines L_j inside R^(m_j)."""
-    if symbol.klass != "symmetric":
-        raise UnsupportedClass("schubert_map_sy needs a symmetric-class symbol")
-    if len(params) != symbol.length:
-        raise InvalidSymbol(f"expected {symbol.length} parameters, got {len(params)}")
-    n = symbol.ambient
-    total = 0.0
-    mats = []
-    for m, (t, line) in zip(symbol.entries, params):
-        total += float(t)
-        v = _pad_line(line, m, n, tol)
-        if float(np.linalg.norm(v.imag)) > tol.tol_zero * 100:
-            raise PreconditionViolated("symmetric cells need real lines")
-        mats.append(PseudoRotation(np.pi * float(t), v).matrix())
-    psi = PseudoRotation(-np.pi * total, _e1(n)).matrix()
-    for mat in mats:
-        psi = psi @ mat
+    rots = _cell_rotations(symbol, params, "symmetric", np.pi, tol)
+    psi = functools.reduce(np.matmul, [r.matrix() for r in rots])
     return psi @ psi.T
 
 
@@ -571,25 +577,9 @@ def schubert_map_sk(
     inside C^(2 m_j - 1) is the Cartan conjugate of the identity, hence in
     the model; interior parameters land in the open cell of ``symbol``.
     """
-    if symbol.klass != "skew":
-        raise UnsupportedClass("schubert_map_sk needs a skew-class symbol")
-    if len(params) != symbol.length:
-        raise InvalidSymbol(f"expected {symbol.length} parameters, got {len(params)}")
-    n = symbol.ambient
-    total = 0.0
-    rots: list[PseudoRotation] = []
-    for m, (t, line) in zip(symbol.entries, params):
-        total += float(t)
-        v = _pad_line(line, 2 * m - 1, n, tol)
-        rots.append(PseudoRotation(TAU * float(t), v))
-    lead = PseudoRotation(-TAU * total, _e1(n))
-    out = lead.matrix()
-    for r in rots:
-        out = out @ r.matrix()
-    for r in reversed(rots):
-        out = out @ PseudoRotation(r.theta, jmul(r.axis)).matrix()
-    out = out @ PseudoRotation(lead.theta, jmul(lead.axis)).matrix()
-    return out
+    rots = _cell_rotations(symbol, params, "skew", TAU, tol)
+    rots += [PseudoRotation(r.theta, jmul(r.axis)) for r in reversed(rots)]
+    return functools.reduce(np.matmul, [r.matrix() for r in rots])
 
 
 def sample_interior_params(symbol: SchubertSymbol, seed=0) -> list[tuple[float, np.ndarray]]:

@@ -49,13 +49,19 @@ def min_index(x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     xv = np.asarray(x, dtype=np.complex128)
     if xv.ndim != 1:
         raise DimensionMismatch("min_index expects a vector")
-    norm = float(np.linalg.norm(xv))
-    if norm <= tol.tol_zero:
+    return int(min_indices(xv[None], tol)[0])
+
+
+def min_indices(rows, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """:func:`min_index` of each row of a stack, in one pass."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    norm = _row_norms(rows)
+    if np.any(norm <= tol.tol_zero):
         raise ZeroVector("min_index of a (near-)zero vector")
-    big = np.nonzero(np.abs(xv) > tol.tol_zero * norm)[0]
-    if len(big) == 0:
+    big = np.abs(rows) > tol.tol_zero * norm
+    if not big.any(axis=1).all():
         raise ZeroVector("no coordinate above threshold")
-    return int(big[-1]) + 1
+    return rows.shape[1] - big[:, ::-1].argmax(axis=1)
 
 
 def _row_norms(rows: np.ndarray):
@@ -110,6 +116,15 @@ class PseudoRotation:
     def n(self) -> int:
         return len(self.axis)
 
+    @classmethod
+    def of_canonical(cls, theta: float, axis: np.ndarray) -> "PseudoRotation":
+        """``A_(theta, axis)`` for an axis that is already canonical, as
+        :func:`canonical_axis` returns it; only the angle is reduced."""
+        rot = object.__new__(cls)
+        object.__setattr__(rot, "theta", canonical_angle(theta))
+        object.__setattr__(rot, "axis", axis)
+        return rot
+
     def min_index(self, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         return min_index(self.axis, tol)
 
@@ -120,7 +135,7 @@ class PseudoRotation:
         ) * np.outer(x, np.conj(x))
 
     def inverse(self) -> "PseudoRotation":
-        return PseudoRotation(-self.theta, self.axis)
+        return PseudoRotation.of_canonical(-self.theta, self.axis)
 
     def conjugate(self) -> "PseudoRotation":
         return PseudoRotation(-self.theta, np.conj(self.axis))
@@ -142,7 +157,7 @@ def product_matrix(rots, n: int) -> np.ndarray:
     """Left-to-right product, by rank-1 updates ``P -= (1 - e^(i theta)) (P x) x*``."""
     out = np.eye(n, dtype=np.complex128)
     for r in rots:
-        out -= (1.0 - np.exp(1j * r.theta)) * np.outer(out @ r.axis, np.conj(r.axis))
+        out -= ((out @ r.axis) * (1.0 - np.exp(1j * r.theta)))[:, None] * r.axis.conj()
     return out
 
 

@@ -286,6 +286,20 @@ class TestCoproduct:
                 right[(a, b1, b2)] = right.get((a, b1, b2), 0) + c * c1
         assert {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
 
+    def test_splitting_formula(self):
+        # every ordered splitting, signed through the validating epsilon
+        import itertools
+
+        for entries in cohom.enumerate_symbols(10):
+            want = {}
+            for r in range(len(entries) + 1):
+                for left in itertools.combinations(entries, r):
+                    right = tuple(x for x in entries if x not in left)
+                    want[(left, right)] = (-1) ** (r * len(right)) * cohom.epsilon(left, right)
+            got = cohom.coproduct(entries)
+            assert isinstance(got, cohom.TensorElement)
+            assert list(got.terms.items()) == list(cohom.TensorElement(want).terms.items())
+
     def test_multiplicativity_mechanism(self):
         for entries in cohom.enumerate_symbols(6):
             assert cohom.coproduct_via_primitives(entries) == cohom.coproduct(entries).terms

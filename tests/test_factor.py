@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from schubert import factor, milnor, numlin, rotor
@@ -32,6 +33,7 @@ from schubert.factor import (
     symbol_invariance_check,
 )
 from schubert.rotor import PseudoRotation
+from schubert.tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
 
 from conftest import e
 
@@ -145,6 +147,152 @@ class TestBoundaryConditioning:
         f = factorize_su(cell_sample(SchubertSymbol(entries, 24), seed=207))
         assert f.boundary_ambiguous or f.symbol().entries == entries
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_pushed_lines_never_wrong(self, data):
+        """The boundary contract: the planted symbol, a boundary flag or a
+        ConvergenceFailure, never a different symbol."""
+        n = data.draw(st.integers(4, 8))
+        entries = tuple(sorted(data.draw(st.sets(st.integers(2, n), min_size=1, max_size=n - 1))))
+        pushed = data.draw(st.sets(st.integers(0, len(entries) - 1), min_size=1, max_size=2))
+        tops = {i: 10.0 ** data.draw(st.floats(np.log10(1.5e-6), -1.0)) for i in pushed}
+        b = _pushed_cell(entries, n, data.draw(st.integers(0, 2**31 - 1)), tops)
+        try:
+            cid = milnor.identify(b, "general")
+        except ConvergenceFailure:
+            return
+        assert cid.boundary_ambiguous or cid.symbol.entries == entries
+
+
+def _per_factor_peel(w, tol):
+    """Reference row peel: each factor is built as a PseudoRotation when it
+    is read and peeled off all of w; min-indices are read factor by factor."""
+    n = w.shape[0]
+    w = w.copy()
+    gray = False
+    factors, devs = [], np.zeros(n)
+    for j in range(n, 1, -1):
+        dev = -np.conj(w[j - 1, :j])
+        dev[j - 1] += 1.0
+        d = float(np.linalg.norm(dev))
+        devs[j - 1] = d
+        gray = gray or in_gray_zone(d, tol.tol_angle)
+        if d < tol.tol_angle:
+            continue
+        x = dev / d
+        gray = gray or in_gray_zone(abs(x[j - 1]), tol.axis_snap, span=4.0)
+        num, den = x[j - 1] * d, abs(x[j - 1]) ** 2
+        for r in range(j - 1, 1, -1):
+            dr = -np.conj(w[r - 1, :j])
+            dr[r - 1] += 1.0
+            cr = np.vdot(x, dr)
+            if np.linalg.norm(dr - cr * x) >= tol.tol_angle:
+                break
+            num += x[r - 1] * cr
+            den += abs(x[r - 1]) ** 2
+        f = PseudoRotation(-float(np.angle(1.0 - num / den)), np.concatenate([x, np.zeros(n - j)]))
+        w -= (1.0 - np.exp(-1j * f.theta)) * np.outer(w @ f.axis, np.conj(f.axis))
+        factors.append(f)
+    phi = float(np.angle(w[0, 0]))
+    return factors[::-1], [f.min_index(tol) for f in factors[::-1]], phi, devs, \
+        gray or in_gray_zone(phi, tol.tol_angle)
+
+
+def _per_factor_su(b, tol=DEFAULT_TOL):
+    """Reference factorize_su over the per-factor peel, with the same gates."""
+    n = b.shape[0]
+    u, _, vh = np.linalg.svd(b)
+    w = u @ vh
+    factors, mins, phi, devs, gray = _per_factor_peel(w, tol)
+    if any(y <= x for x, y in zip(mins, mins[1:])):
+        raise ConvergenceFailure("non-monotone")
+    _, probe_mins, _, probe_devs, probe_gray = _per_factor_peel(w @ factor._probe(n), tol)
+    moved = np.abs(devs - probe_devs)
+    noisy = (moved >= tol.tol_angle / GRAY_SPAN) & (np.minimum(devs, probe_devs) < GRAY_SPAN * moved)
+    fact = OrderedFactorization(
+        "general", "increasing", n, tuple(factors),
+        PseudoRotation(phi, e(1, n)) if abs(phi) >= tol.tol_angle else None,
+        boundary_ambiguous=gray or probe_gray or bool(noisy.any()) or probe_mins != mins)
+    residual = float(np.linalg.norm(fact.matrix() - b))
+    if residual > tol.structure * n:
+        raise ConvergenceFailure("reconstruction residual")
+    return replace(fact, residual=residual)
+
+
+class TestStackedPeel:
+    """The stacked row peel against the per-factor peel it replaces."""
+
+    def _same(self, b, case, factors=True):
+        """Same exception type, flag and symbol, the symbol of a flagged
+        result excepted; with ``factors``, the same factors up to rounding.
+
+        The two peels round differently, and a lower cell or a small pivot
+        amplifies that (by about 1/p^2 for a pivot p), so only
+        well-conditioned inputs are compared factor by factor, and the symbol
+        of a flagged result, which the flag marks as not resolved by a clear
+        margin, may differ.
+        """
+        got, want = _outcome(factorize_su, b), _outcome(_per_factor_su, b)
+        if isinstance(want, type):
+            assert got is want, case
+            return want
+        assert got.boundary_ambiguous == want.boundary_ambiguous, case
+        assert got.boundary_ambiguous or got.symbol().entries == want.symbol().entries, case
+        for f, g in zip(got.all_factors(), want.all_factors(), strict=True) if factors else ():
+            assert abs(f.theta - g.theta) <= 1e-12 and np.max(np.abs(f.axis - g.axis)) <= 1e-12, case
+        return None
+
+    def test_haar(self):
+        for n in (4, 5, 8, 12, 16, 24, 32):
+            for seed in range(6):
+                self._same(numlin.haar_sample(n, "special_unitary", 100 * n + seed), (n, seed))
+
+    def test_planted_cells(self):
+        rng = np.random.default_rng(11)
+        for n in (4, 6, 8, 12, 16, 24):
+            for _ in range(8):
+                entries = tuple(sorted(map(int, rng.choice(np.arange(2, n + 1), int(rng.integers(1, n)),
+                                                           replace=False))))
+                b = cell_sample(SchubertSymbol(entries, n), int(rng.integers(2**31)))
+                self._same(b, (entries, n), factors=n <= 8)
+
+    def test_pushed_cells(self):
+        rng = np.random.default_rng(12)
+        raised = set()
+        for i in range(60):
+            n = int(rng.integers(4, 9))
+            entries = tuple(sorted(map(int, rng.choice(np.arange(2, n + 1), int(rng.integers(1, n)),
+                                                       replace=False))))
+            tops = {int(rng.integers(len(entries))): 10.0 ** rng.uniform(-7.4, -1)}
+            raised.add(self._same(_pushed_cell(entries, n, int(rng.integers(2**31)), tops), (entries, n, i),
+                                  factors=False))
+        assert ConvergenceFailure in raised
+
+    def test_caller_tolerance_snaps(self):
+        # the 1e-8 coordinate survives the tight snap level (1e-10)
+        tight = ToleranceConfig(tol_zero=1e-14, tol_residual=1e-12)
+        v = np.array([1e-8, 0.6, 0.8])
+        v /= np.linalg.norm(v)
+        b = PseudoRotation(-0.9, e(1, 3)).matrix() @ (np.eye(3) - (1 - np.exp(0.9j)) * np.outer(v, v.conj()))
+        f = factorize_su(b, tight)
+        assert f.symbol(tight).entries == (3,) and f.residual < 1e-14
+
+    @pytest.mark.parametrize("n", (8, 16))
+    def test_canonical_axis_calls(self, monkeypatch, n):
+        calls = []
+
+        def counted(x, tol=DEFAULT_TOL):
+            calls.append(np.shape(x))
+            return canonical_axis(x, tol)
+
+        canonical_axis = rotor.canonical_axis
+        monkeypatch.setattr(rotor, "canonical_axis", counted)
+        monkeypatch.setattr(factor, "canonical_axis", counted)
+        for seed in range(3):
+            calls.clear()
+            factorize_su(numlin.haar_sample(n, "special_unitary", seed))
+            assert len(calls) <= 2, calls
+
 
 class TestDecreasingAndReverse:
     def test_identity(self):
@@ -164,6 +312,12 @@ class TestDecreasingAndReverse:
         assert np.linalg.norm(f.matrix() - b) <= 1e-9
         mins = f.min_indices()
         assert all(x > y for x, y in zip(mins, mins[1:]))
+
+    def test_residual_is_that_of_the_inverse(self, rng):
+        for n in (2, 5, 9, 16):
+            b = numlin.haar_sample(n, "special_unitary", rng)
+            f = factorize_decreasing(b)
+            assert abs(f.residual - np.linalg.norm(f.matrix() - b)) <= 1e-14
 
     def test_reverse_empty(self):
         f = factorize_su(np.eye(3))
@@ -263,6 +417,22 @@ class TestSkewEngine:
     def test_rejects_non_model(self):
         with pytest.raises(NotInModel):
             factorize_skew(np.eye(3))
+
+    def test_partner_gap_matches_dense(self, rng):
+        def unit(v):
+            return v / np.linalg.norm(v)
+
+        for i in range(400):
+            n = int(rng.integers(2, 17))
+            x = unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            y = unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            tx, ty = rng.uniform(-np.pi, np.pi, 2)
+            if i % 2:  # near-equal pair, as a skew engine meets it
+                y = unit(x * np.exp(1j * rng.uniform(-3, 3)) + 10.0 ** rng.uniform(-16, -6) * y)
+                ty = tx + 10.0 ** rng.uniform(-16, -6)
+            dense = np.linalg.norm(PseudoRotation.of_canonical(tx, x).matrix()
+                                   - PseudoRotation.of_canonical(ty, y).matrix())
+            assert abs(factor._partner_gap(x, tx, y, ty) - dense) <= 1e-14
 
 
 def _per_factor_cartan(m, klass, tol=factor.DEFAULT_TOL):

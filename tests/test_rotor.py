@@ -70,6 +70,20 @@ class TestMinIndex:
         with pytest.raises(ZeroVector):
             rotor.min_index(np.zeros(3))
 
+    def test_stack_matches_each_row(self, rng, tol):
+        rows = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
+        rows *= rng.random((40, 7)) < 0.6  # trailing and inner zeros
+        rows[:, 0] += 0.5
+        rows[:10] = rotor.canonical_axis(rows[:10] + 1e-9 * rows[10:20])  # snapped coordinates
+        rows[20:30, 4:] = 10.0 ** rng.uniform(-13, -11, size=(10, 3))  # around tol_zero
+        got = rotor.min_indices(rows, tol)
+        for row, m in zip(rows, got):
+            big = np.abs(row) > tol.tol_zero * np.linalg.norm(row)
+            assert m == rotor.min_index(row, tol) == np.flatnonzero(big)[-1] + 1
+        assert rotor.min_indices(np.zeros((0, 3))).shape == (0,)
+        with pytest.raises(ZeroVector):
+            rotor.min_indices(np.array([[0.6, 0.8j], [0.0, 0.0]]))
+
 
 class TestCanonicalAxis:
     def test_stack_matches_each_row(self, rng):
@@ -93,6 +107,18 @@ class TestCanonicalAxis:
             rotor.canonical_axis(np.array([[0.6, 0.8j, 0.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(ZeroVector):
             rotor.canonical_axis(np.zeros(3))
+
+
+class TestOfCanonical:
+    def test_same_rotation_as_constructor(self, rng):
+        for m in range(1, 7):
+            x = random_axis(rng, 6, m)
+            theta = float(rng.uniform(-10, 10))
+            want = PseudoRotation(theta, x)
+            got = PseudoRotation.of_canonical(theta, want.axis)
+            assert got.theta == want.theta and got.axis is want.axis
+            assert_allclose(got.matrix(), want.matrix(), atol=1e-15)
+            assert_allclose(want.inverse().matrix(), PseudoRotation(-theta, x).matrix(), atol=1e-15)
 
 
 class TestProductMatrix:
