@@ -2,8 +2,10 @@
 """Round-trip identification experiment.
 
 Sample every Schubert cell of each class up to a bound, dress the sample
-with the class-appropriate solvable witness, identify it, and report the
-recovery rate together with the worst reconstruction residuals.
+with the class-appropriate solvable witness, identify it, and report how
+many samples came back right, flagged boundary-ambiguous, failed with a
+ConvergenceFailure or came back wrong, together with the worst
+reconstruction residual.
 """
 import argparse
 import time
@@ -11,6 +13,7 @@ import time
 import numpy as np
 
 from schubert import cohom
+from schubert.errors import ConvergenceFailure
 from schubert.factor import SchubertSymbol
 from schubert.milnor import fiber_sample, identify
 
@@ -27,7 +30,7 @@ def main() -> None:
     counter = args.seed
     for klass in ("general", "symmetric", "skew"):
         max_n = args.skew_max_n if klass == "skew" else args.max_n
-        total = hits = 0
+        right = flagged = failed = wrong = 0
         worst = 0.0
         tic = time.perf_counter()
         for top in range(2, max_n + 1):
@@ -37,13 +40,21 @@ def main() -> None:
                 for _ in range(args.draws):
                     counter += 1
                     b = fiber_sample(sym, seed=counter, dress=args.dress)
-                    cid = identify(b, klass)
-                    total += 1
-                    hits += cid.symbol.entries == entries
+                    try:
+                        cid = identify(b, klass)
+                    except ConvergenceFailure:
+                        failed += 1
+                        continue
+                    if cid.boundary_ambiguous:
+                        flagged += 1
+                    elif cid.symbol.entries == entries:
+                        right += 1
+                    else:
+                        wrong += 1
                     worst = max(worst, cid.residual / max(1.0, np.linalg.norm(b)))
         toc = time.perf_counter()
-        print(f"{klass:10s}  recovered {hits}/{total}  "
-              f"worst relative residual {worst:.3g}  ({toc - tic:.2f}s)")
+        print(f"{klass:10s}  right {right}  flagged {flagged}  ConvergenceFailure {failed}  "
+              f"wrong {wrong}  worst relative residual {worst:.3g}  ({toc - tic:.2f}s)")
 
 
 if __name__ == "__main__":

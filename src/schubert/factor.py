@@ -9,12 +9,13 @@ map: row j of the matrix determines the factor with min-index j, which is
 then peeled off by a rank-1 update, for j = n down to 2.  The peel keeps
 angles and axes in stacked arrays, canonicalises the axes in one call,
 and pseudo-rotation objects are built only for the factorization that is
-returned.  A second peel of a slightly perturbed copy tells whether the
-symbol is stable under rounding; near a cell boundary it may not be, and
-the result is then flagged boundary-ambiguous.  The symmetric
-and skew-symmetric Cartan models carry analogous unique factorizations:
-half-angle real-axis factors applied by iterated Cartan conjugation, and
-quaternionic pairs ``(A, sigma(A*))`` peeled off two at a time.
+returned.  The rank profile of W - I, W the unitary polar factor, names
+the same min-indices with no fitted angle in between; when the two
+disagree or a rank is decided in its gray zone, the result is flagged
+boundary-ambiguous.  The symmetric and skew-symmetric Cartan models carry
+analogous unique factorizations: half-angle real-axis factors applied by
+iterated Cartan conjugation, and quaternionic pairs ``(A, sigma(A*))``
+peeled off two at a time.
 
 The ``schubert_map*`` functions are the forward cell parametrizations;
 together with the factorization engines they form the round-trip oracles
@@ -178,17 +179,16 @@ def _norm(v: np.ndarray) -> float:
 
 def _peel_rows(
     w: np.ndarray, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, list[int], float, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, list[int], float, bool]:
     """Peel the factors with min-index >= 2 off the right of the unitary
     ``w``, reading each from the bottom row it still moves.
 
     Returns the angles and canonical axes of the factors, stacked in
     product order, with their min-indices; the correction angle left at
-    ``w[0, 0]``; the deviation norm of every row at the moment it was read
-    (entry j-1 for row j); and whether a thresholded quantity landed in its
-    gray zone.  Rows below j that a factor moves and no later factor
-    touches are multiples of the same axis; the angle is fitted over all
-    of them, which keeps it well conditioned when the pivot of row j is
+    ``w[0, 0]``; and whether a pivot coordinate or the correction angle
+    landed in its gray zone.  Rows below j that a factor moves and no later
+    factor touches are multiples of the same axis; the angle is fitted over
+    all of them, which keeps it well conditioned when the pivot of row j is
     small but the line has weight in those rows.  Each axis is snapped
     before its rank-1 update, which touches only the rows not yet read
     and the columns of the factor's support.
@@ -197,15 +197,14 @@ def _peel_rows(
     w = w.copy()
     gray = False
     # entry j-1 holds the factor read off row j, if any
-    thetas, axes, devs = np.zeros(n), np.zeros((n, n), dtype=np.complex128), np.zeros(n)
+    thetas, axes, read = np.zeros(n), np.zeros((n, n), dtype=np.complex128), np.zeros(n, dtype=bool)
     for j in range(n, 1, -1):
         dev = -np.conj(w[j - 1, :j])
         dev[j - 1] += 1.0
         d = _norm(dev)
-        devs[j - 1] = d
-        gray = gray or in_gray_zone(d, tol.tol_angle)
         if d < tol.tol_angle:
             continue
+        read[j - 1] = True
         x = dev / d
         gray = gray or in_gray_zone(abs(x[j - 1]), tol.axis_snap, span=4.0)
         # row r carries conj(1 - e^(i theta)) conj(x_r) x while it is a
@@ -225,29 +224,36 @@ def _peel_rows(
         axes[j - 1, :j] = x
         rows = w[: j - 1, :j]
         rows -= ((rows @ x) * (1.0 - cmath.exp(-1j * thetas[j - 1])))[:, None] * x.conj()
-    read = devs >= tol.tol_angle
     thetas, axes = thetas[read], axes[read]
     if len(axes):
         axes = canonical_axis(axes, tol)
     phi = float(np.angle(w[0, 0]))
     gray = gray or in_gray_zone(phi, tol.tol_angle)
-    return thetas, axes, min_indices(axes, tol).tolist(), phi, devs, gray
+    return thetas, axes, min_indices(axes, tol).tolist(), phi, gray
 
 
-#: Size of the probing perturbation in :func:`factorize_su`, in units of
-#: n times the machine epsilon.
-PROBE_SCALE = 64.0
+def _rank_profile(w: np.ndarray, tol: ToleranceConfig) -> tuple[list[int], bool]:
+    """The min-indices >= 2 of the factorization of the unitary ``w``, read
+    off the rank profile of W - I, and whether a rank was decided in the
+    gray zone of ``tol_angle``.
 
-
-@functools.lru_cache(maxsize=None)
-def _probe(n: int) -> np.ndarray:
-    """Fixed unitary ``I + i eta H`` (H Hermitian of unit norm, eta =
-    PROBE_SCALE n eps), unitary to order eta^2."""
-    rng = np.random.default_rng(n)
-    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = h + h.conj().T
-    eta = PROBE_SCALE * n * float(np.finfo(np.float64).eps)
-    return np.eye(n) + (1j * eta / np.linalg.norm(h, 2)) * h
+    For j >= 2, rows j..n of W - I are those of Q_j - I, Q_j the product of
+    the factors with min-index >= j, so they have rank #{i : m_i >= j}, and
+    j is a min-index exactly when adding row j raises the rank.  A rank
+    counts the singular values of at least ``tol_angle``.  Blocks are taken
+    from rows 2..n down, one SVD each, until one has all singular values
+    above the gray zone; by interlacing, so do all smaller blocks.
+    """
+    n, tau = w.shape[0], tol.tol_angle
+    d, ranks, gray = w - np.eye(n), np.zeros(n + 2, dtype=int), False  # ranks[j]: of rows j..n
+    for j in range(2, n + 1):
+        s = np.linalg.svd(d[j - 1 :], compute_uv=False)
+        if s[-1] >= GRAY_SPAN * tau:
+            ranks[j : n + 1] = np.arange(n - j + 1, 0, -1)
+            break
+        ranks[j] = np.count_nonzero(s >= tau)
+        gray = gray or bool(np.any((s > tau / GRAY_SPAN) & (s < GRAY_SPAN * tau)))
+    return [j for j in range(2, n + 1) if ranks[j] > ranks[j + 1]], gray
 
 
 def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -265,39 +271,31 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     which is excluded from the Schubert symbol.  The axes are canonicalised
     together when the peel ends, and only this peel builds PseudoRotations.
 
-    ``boundary_ambiguous`` is raised when a row deviation, a pivot
+    The symbol is certified by the rank profile of W - I, which reads the
+    min-indices with no fitted angle in between: near a cell boundary the
+    angle off a small pivot is sensitive to rounding, and its error moves
+    the rows read after it, so a row no factor owns can read as a factor.
+    ``boundary_ambiguous`` is raised when the peel's min-indices differ from
+    the profile, or when a singular value of the profile, a pivot
     coordinate or the correction angle lands in the gray zone of its
-    threshold, or when the symbol is not stable under rounding.  A small
-    pivot makes the angle read off its row sensitive to rounding, and the
-    error of one factor moves the rows read after it, so near a cell
-    boundary a row no factor owns can read as an extra factor.  To detect
-    that, W is peeled a second time after a fixed unitary perturbation of
-    size ``PROBE_SCALE * n * eps``: the result is flagged when the two
-    peels disagree on the symbol, or when a row deviation moved by at
-    least ``tol_angle / GRAY_SPAN`` and is within GRAY_SPAN times that
-    movement of zero.
+    threshold.
     """
     m = check_unitary(b, tol)  # NotUnitary, then NotInFiber unless b passed det = 1
     b = m if validated(b, "general", "symmetric") else FiberElement(m, "general", tol).matrix
     n = b.shape[0]
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
-    thetas, axes, mins, phi, devs, gray = _peel_rows(w, tol)
+    thetas, axes, mins, phi, gray = _peel_rows(w, tol)
     if any(y <= x for x, y in zip(mins, mins[1:])):
         raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
-    _, _, probe_mins, _, probe_devs, probe_gray = _peel_rows(w @ _probe(n), tol)
-    moved = np.abs(devs - probe_devs)
-    noisy = (moved >= tol.tol_angle / GRAY_SPAN) & (
-        np.minimum(devs, probe_devs) < GRAY_SPAN * moved
-    )
-    gray = gray or probe_gray or bool(noisy.any()) or probe_mins != mins
+    profile, profile_gray = _rank_profile(w, tol)
     fact = OrderedFactorization(
         klass="general",
         order="increasing",
         ambient=n,
         factors=tuple(map(PseudoRotation.of_canonical, thetas, axes)),
         correction=PseudoRotation.of_canonical(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None,
-        boundary_ambiguous=gray,
+        boundary_ambiguous=gray or profile_gray or profile != mins,
     )
     residual = float(np.linalg.norm(fact.matrix() - b))
     if residual > tol.structure * n:

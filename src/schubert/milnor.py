@@ -51,6 +51,7 @@ from .numlin import (
     quaternionic_solvable_sample,
     real_solvable_sample,
     solvable_sample,
+    validated,
 )
 from .rotor import check_class, jmul
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -89,7 +90,7 @@ class CellIdentification:
 def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     """Schubert cell of an element of SL_n: Iwasawa-split B = A . C and
     factorize the special unitary part."""
-    elem = b if isinstance(b, FiberElement) else FiberElement(b, "general", tol)
+    elem = b if validated(b, "general", "symmetric") else FiberElement(b, "general", tol)
     parts = iwasawa_split(elem, tol)
     fact = factorize_su(parts.unitary, tol)
     return CellIdentification.of(fact, parts.unitary, parts.solvable, elem.matrix, tol)
@@ -251,7 +252,7 @@ def identify_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentificat
     Cartan model point A^T A factorized.  In every branch
     B = E^T compact E within tolerance.
     """
-    elem = b if isinstance(b, FiberElement) else FiberElement(b, "symmetric", tol)
+    elem = b if validated(b, "symmetric") else FiberElement(b, "symmetric", tol)
     mat = elem.matrix
     n = mat.shape[0]
     if elem.unitary:
@@ -277,7 +278,7 @@ def identify_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     and the model point (A^T J A) J^-1 factorized.  In every branch
     B = E^T compact E within tolerance.
     """
-    elem = b if isinstance(b, FiberElement) else FiberElement(b, "skew", tol)
+    elem = b if validated(b, "skew") else FiberElement(b, "skew", tol)
     mat = elem.matrix
     n = mat.shape[0]
     j = jn(n // 2)

@@ -288,6 +288,26 @@ class TestValidateOnce:
             assert cid.symbol.entries == self.TOPS[klass]
 
 
+class TestOtherClassElement:
+    """A FiberElement validated for another class is checked again."""
+
+    def test_skew(self):
+        m = np.kron(np.diag([1.0, -1.0]), numlin.jn(1))  # det = 1, Pf = -1
+        for b in (m, FiberElement(m, "general")):
+            with pytest.raises(NotInFiber):
+                identify(b, "skew")
+
+    def test_symmetric(self, rng):
+        b = FiberElement(numlin.haar_sample(3, "sl", rng), "general")
+        with pytest.raises(NotInFiber):
+            identify(b, "symmetric")
+
+    def test_general_takes_a_symmetric_element(self, rng):
+        b = numlin.haar_sample(4, "sym_fiber", rng)
+        got, want = identify(FiberElement(b, "symmetric"), "general"), identify(b, "general")
+        assert got.symbol == want.symbol and got.residual == want.residual
+
+
 class TestPublicExceptions:
     @pytest.mark.parametrize("engine", ["factorize_su", "factorize_decreasing"])
     def test_su_engines(self, engine):
