@@ -1,23 +1,23 @@
 """Cell identification in the global Milnor fibers.
 
 The fibers are det^-1(1) on general / symmetric matrices and Pf^-1(1) on
-skew-symmetric matrices.  Each identification pipeline transports the
-input to the compact Cartan model, runs the class-specific ordered
-factorization there, and returns the Schubert symbol together with the
-witnesses needed to reproduce the transport.
+skew-symmetric matrices.  Each identification transports the input to the
+compact Cartan model, runs the class-specific ordered factorization there,
+and returns the Schubert symbol with the witnesses of the transport.  The
+general class is transported by its Iwasawa splitting B = A . E.  The
+symmetric and skew classes share one congruence transport, written once for
+the class form F (I, respectively J) and the Cartan involution
+sigma(X) = F conj(X) F^-1, in three tiers:
 
-Transport works in three tiers.  Inputs already in the compact model are
-factorized directly.  Otherwise the solvable dressing is inverted exactly
-where the product structure of the fiber makes that well-posed: for the
-general class the Iwasawa splitting itself; for the symmetric class a
-congruence by the real solvable group (the matrix ``W = conj(B)^-1 B``
-equals ``E^-1 A^2 E`` for a real-dressed ``B = E^T A E``, so its
-eigenvectors recover E up to scales fixed by a quarter-root correction);
-for the skew class the analogous quaternionic-solvable undressing through
-``sigma(B)^-1 B``.  When no such representative exists within tolerance,
-the congruence-normalization pipeline (diagonalize the form, Iwasawa-split
-the normalizer) supplies a valid decomposition; its symbol is that of a
-generic representative.
+* compact: an input in the compact model is factorized in place;
+* undressed: a congruence dressing B = E^T A E by the real, respectively
+  quaternionic, solvable group, which sigma fixes, is inverted exactly from
+  the eigen-clusters of sigma(B)^-1 B = E^-1 sigma(A)^-1 A E (``_undress``);
+* congruence fallback: the form is normalized (C^T B C = F), C^-1 = A . E
+  Iwasawa-split and the model point A^T F A factorized.
+
+Only the adapted eigenbasis, the real projection of the symmetric witness,
+the skew check of the compact part, the normalizer and the engine differ.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ from .numlin import (
     solvable_sample,
     validated,
 )
-from .rotor import check_class, jmul
+from .rotor import check_class, jmul, sigma
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -96,26 +96,54 @@ def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentificatio
     return CellIdentification.of(fact, parts.unitary, parts.solvable, elem.matrix, tol)
 
 
-def _unit_eig_clusters(w_mat: np.ndarray, gate: float):
+_UNDRESS_GATE = 1e-6  # unit-modulus, eigen-cluster and basis-rank gate of exact undressing
+
+
+def _unit_eig_clusters(w_mat: np.ndarray):
     """Eigen clusters of a matrix similar to a unitary one, sorted by angle.
 
-    Returns None when the spectrum is not unit-modulus within ``gate``.
+    Returns None when the spectrum is not unit-modulus within the gate.
     """
     vals, vecs = np.linalg.eig(w_mat)
-    if np.max(np.abs(np.abs(vals) - 1.0)) > gate:
+    if np.max(np.abs(np.abs(vals) - 1.0)) > _UNDRESS_GATE:
         return None
     order = np.argsort(np.angle(vals), kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     ang = np.angle(vals)
     groups = [[0]]
     for i in range(1, len(vals)):
-        if ang[i] - ang[groups[-1][-1]] < gate:
+        if ang[i] - ang[groups[-1][-1]] < _UNDRESS_GATE:
             groups[-1].append(i)
         else:
             groups.append([i])
-    if len(groups) > 1 and (ang[groups[0][0]] + 2 * np.pi) - ang[groups[-1][-1]] < gate:
+    if len(groups) > 1 and (ang[groups[0][0]] + 2 * np.pi) - ang[groups[-1][-1]] < _UNDRESS_GATE:
         groups[-1].extend(groups.pop(0))
     return [vecs[:, g] for g in groups]
+
+
+def _real_basis(x: np.ndarray):
+    """Real orthonormal basis of the span of the cluster ``x``, or None if none."""
+    d = x.shape[1]
+    u, s, _ = np.linalg.svd(np.hstack([x.real, x.imag]), full_matrices=False)
+    if s[d - 1] <= _UNDRESS_GATE or (s[d:].size and s[d] > s[d - 1] * _UNDRESS_GATE * 1e3):
+        return None
+    return u[:, :d].astype(np.complex128)
+
+
+def _j_paired_basis(x: np.ndarray):
+    """Gram-Schmidt basis ``w_1, -j w_1, w_2, -j w_2, ...`` of the span of
+    the cluster ``x``, or None when the span is not j-invariant."""
+    if x.shape[1] % 2 != 0:
+        return None
+    basis: list[np.ndarray] = []
+    for w in x.T:
+        if basis:
+            bmat = np.column_stack(basis)
+            w = w - bmat @ np.linalg.lstsq(bmat, w, rcond=None)[0]
+        if np.linalg.norm(w) >= _UNDRESS_GATE:
+            w = w / np.linalg.norm(w)
+            basis += [w, -jmul(w)]
+    return np.column_stack(basis) if len(basis) == x.shape[1] else None
 
 
 def _chol_witness(v: np.ndarray) -> np.ndarray:
@@ -149,31 +177,38 @@ def _scaled_witness(b: np.ndarray, blocks: list, scale_form) -> np.ndarray:
     return _chol_witness(np.hstack(fixed))
 
 
-def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
-    """Invert a real-solvable congruence dressing of a symmetric fiber point.
+def _undress(b, klass: str, tol: ToleranceConfig):
+    """Invert a solvable congruence dressing ``B = E^T A E`` of a symmetric or
+    skew fiber point: (compact, witness), or None.
 
-    For ``B = E^T A E`` with E real solvable and A in the compact model,
-    ``W = conj(B)^-1 B = E^-1 A^2 E`` has real eigenvectors; the Cholesky
-    factor of ``(V V^T)^-1`` recovers E once per-cluster scales are fixed by
-    the quarter root of ``U0^T (A0 conj(A0)) U0``.  Returns (compact,
-    witness) or None when B admits no such representative.
+    The Cartan involution sigma fixes E, so that
+    ``sigma(B)^-1 B = E^-1 sigma(A)^-1 A E`` is a triangular conjugate of a
+    unitary matrix.  An adapted basis of each of its eigen-clusters (real,
+    respectively j-paired), the Cholesky factor of ``(V V*)^-1`` and
+    per-cluster quarter-root scales recover E; the symmetric witness is
+    projected to its real part.
     """
     b = as_square_matrix(b)
     n = b.shape[0]
-    gate = 1e-6
+    skew = klass == "skew"
+    if skew and n % 2 != 0:
+        return None
     try:
-        clusters = _unit_eig_clusters(np.linalg.inv(np.conj(b)) @ b, gate)
+        clusters = _unit_eig_clusters(np.linalg.inv(sigma(b, klass)) @ b)
         if clusters is None:
             return None
         blocks = []
         for x in clusters:
-            d = x.shape[1]
-            u_svd, s_svd, _ = np.linalg.svd(np.hstack([x.real, x.imag]), full_matrices=False)
-            if s_svd[d - 1] <= gate or (s_svd[d:].size and s_svd[d] > s_svd[d - 1] * gate * 1e3):
-                return None  # the span carries no d-dimensional real structure
-            blocks.append(u_svd[:, :d].astype(np.complex128))
-        e = _scaled_witness(b, blocks, lambda u0, a0: u0.T @ (a0 @ np.conj(a0)) @ u0)
-        e = e.real.astype(np.complex128)
+            blocks.append(_j_paired_basis(x) if skew else _real_basis(x))
+            if blocks[-1] is None:
+                return None  # this span lacks the class structure
+        if skew:
+            j = jn(n // 2)
+            e = _scaled_witness(
+                b, blocks, lambda u0, a0: -j @ (u0.T @ (a0 @ a0.conj().T) @ np.conj(u0)) @ j)
+        else:
+            e = _scaled_witness(b, blocks, lambda u0, a0: u0.T @ (a0 @ np.conj(a0)) @ u0)
+            e = e.real.astype(np.complex128)
         einv = np.linalg.inv(e)
         compact = einv.T @ b @ einv
     except np.linalg.LinAlgError:
@@ -181,128 +216,63 @@ def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
     scale = max(1.0, float(np.linalg.norm(b)))
     ok = (
         np.linalg.norm(compact @ compact.conj().T - np.eye(n)) <= tol.structure * n
+        and (not skew or np.linalg.norm(compact + compact.T) <= tol.structure * n)
         and near_one(np.linalg.det(e), tol)
         and np.linalg.norm(e.T @ compact @ e - b) <= tol.structure * scale
     )
     return (compact, e) if ok else None
+
+
+def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
+    """(compact, real-solvable witness) of a dressed symmetric fiber point, or None."""
+    return _undress(b, "symmetric", tol)
 
 
 def undress_skew(b, tol: ToleranceConfig = DEFAULT_TOL):
-    """Invert a quaternionic-solvable congruence dressing of a skew fiber
-    point.
+    """(compact, quaternionic-solvable witness) of a dressed skew fiber point, or None."""
+    return _undress(b, "skew", tol)
 
-    For ``B = E^T A E`` with sigma-fixed solvable E and skew-unitary A,
-    ``W = sigma(B)^-1 B`` is a triangular conjugate of a unitary matrix
-    whose eigenspaces are j-invariant; a j-paired eigenbasis, the Cholesky
-    factor of ``(V V*)^-1`` and the quarter root of ``-J (U0^T (A0 A0*)
-    conj(U0)) J`` recover E.  Returns (compact, witness) or None.
+
+def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentification:
+    """Schubert cell of a symmetric or skew fiber element, with class form
+    F = I, respectively J: the input itself if compact, else its undressing,
+    else the congruence fallback (C^T B C = F, C^-1 = A . E Iwasawa-split,
+    compact part A^T F A).  B = E^T compact E within tolerance in every tier.
+    Each tier's function is looked up as a module attribute at call time.
     """
-    b = as_square_matrix(b)
-    n = b.shape[0]
-    if n % 2 != 0:
-        return None
-    j = jn(n // 2)
-    gate = 1e-6
-    try:
-        sigma_b = j @ np.conj(b) @ (-j)
-        clusters = _unit_eig_clusters(np.linalg.inv(sigma_b) @ b, gate)
-        if clusters is None:
-            return None
-        blocks = []
-        for x in clusters:
-            if x.shape[1] % 2 != 0:
-                return None
-            basis: list[np.ndarray] = []
-            for i in range(x.shape[1]):
-                w = x[:, i].copy()
-                if basis:
-                    bmat = np.column_stack(basis)
-                    coef, *_ = np.linalg.lstsq(bmat, w, rcond=None)
-                    w = w - bmat @ coef
-                if np.linalg.norm(w) < gate:
-                    continue
-                w = w / np.linalg.norm(w)
-                basis.append(w)
-                basis.append(-jmul(w))
-            if len(basis) != x.shape[1]:
-                return None
-            blocks.append(np.column_stack(basis))
-        e = _scaled_witness(
-            b, blocks, lambda u0, a0: -j @ (u0.T @ (a0 @ a0.conj().T) @ np.conj(u0)) @ j)
-        einv = np.linalg.inv(e)
-        compact = einv.T @ b @ einv
-    except np.linalg.LinAlgError:
-        return None
-    scale = max(1.0, float(np.linalg.norm(b)))
-    ok = (
-        np.linalg.norm(compact @ compact.conj().T - np.eye(n)) <= tol.structure * n
-        and np.linalg.norm(compact + compact.T) <= tol.structure * n
-        and near_one(np.linalg.det(e), tol)
-        and np.linalg.norm(e.T @ compact @ e - b) <= tol.structure * scale
-    )
-    return (compact, e) if ok else None
+    elem = b if validated(b, klass) else FiberElement(b, klass, tol)
+    mat = elem.matrix
+    n = mat.shape[0]
+    skew = klass == "skew"
+    if elem.unitary:
+        compact, e = mat, np.eye(n, dtype=np.complex128)
+    elif (found := (undress_skew if skew else undress_symmetric)(mat, tol)) is not None:
+        compact, e = found
+    else:
+        c = (normalize_skew_form if skew else diagonalize_quadratic_form)(elem, tol)
+        parts = iwasawa_split(np.linalg.inv(c), tol)
+        u = parts.unitary
+        compact, e = (u.T @ jn(n // 2) @ u if skew else u.T @ u), parts.solvable
+    fact = (factorize_skew(compact @ (-jn(n // 2)), tol) if skew  # J^-1 = -J
+            else factorize_symmetric(elem if elem.unitary else compact, tol))
+    return CellIdentification.of(fact, compact, e, mat, tol)
 
 
 def identify_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
-    """Schubert cell of a symmetric fiber element.
-
-    A compact-model input is factorized in place; otherwise the
-    real-solvable dressing is inverted when possible, and failing that the
-    form is diagonalized (C^T B C = I), C^-1 = A . E Iwasawa-split and the
-    Cartan model point A^T A factorized.  In every branch
-    B = E^T compact E within tolerance.
-    """
-    elem = b if validated(b, "symmetric") else FiberElement(b, "symmetric", tol)
-    mat = elem.matrix
-    n = mat.shape[0]
-    if elem.unitary:
-        compact, e = mat, np.eye(n, dtype=np.complex128)
-    else:
-        found = undress_symmetric(mat, tol)
-        if found is not None:
-            compact, e = found
-        else:
-            c = diagonalize_quadratic_form(elem, tol)
-            parts = iwasawa_split(np.linalg.inv(c), tol)
-            compact, e = parts.unitary.T @ parts.unitary, parts.solvable
-    fact = factorize_symmetric(elem if elem.unitary else compact, tol)
-    return CellIdentification.of(fact, compact, e, mat, tol)
+    """Schubert cell of a symmetric fiber element."""
+    return _identify_congruence(b, "symmetric", tol)
 
 
 def identify_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
-    """Schubert cell of a skew-symmetric fiber element (Pf = 1).
-
-    A compact-model input is factorized in place; otherwise the
-    quaternionic-solvable dressing is inverted when possible, and failing
-    that the form is normalized (C^T B C = J), C^-1 = A . E Iwasawa-split
-    and the model point (A^T J A) J^-1 factorized.  In every branch
-    B = E^T compact E within tolerance.
-    """
-    elem = b if validated(b, "skew") else FiberElement(b, "skew", tol)
-    mat = elem.matrix
-    n = mat.shape[0]
-    j = jn(n // 2)
-    if elem.unitary:
-        compact, e = mat, np.eye(n, dtype=np.complex128)
-    else:
-        found = undress_skew(mat, tol)
-        if found is not None:
-            compact, e = found
-        else:
-            c = normalize_skew_form(elem, tol)
-            parts = iwasawa_split(np.linalg.inv(c), tol)
-            compact, e = parts.unitary.T @ j @ parts.unitary, parts.solvable
-    fact = factorize_skew(compact @ (-j), tol)  # J^-1 = -J
-    return CellIdentification.of(fact, compact, e, mat, tol)
+    """Schubert cell of a skew-symmetric fiber element (Pf = 1)."""
+    return _identify_congruence(b, "skew", tol)
 
 
 def identify(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     check_class(klass)
     if klass == "general":
         return identify_general(b, tol)
-    if klass == "symmetric":
-        return identify_symmetric(b, tol)
-    return identify_skew(b, tol)
+    return _identify_congruence(b, klass, tol)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import functools
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +35,7 @@ from schubert.factor import (
 from schubert.rotor import PseudoRotation
 from schubert.tolerances import DEFAULT_TOL, ToleranceConfig, in_gray_zone
 
+from boundary_survey import pushed_cell as _pushed_cell
 from conftest import e
 
 
@@ -109,38 +109,6 @@ class TestFactorizeSU:
                         atol=1e-10)
 
 
-def _pushed_cell(entries, n, seed, tops, klass="general", dress=False):
-    """Planted cell of the class with the last chart coordinate of some lines
-    set to a small value, multiplied out with plain matrices so that no
-    coordinate is snapped.  A skew cell is returned as a fiber point (its
-    model element times J); ``dress`` moves the point within its cell by a
-    seeded element of the class's solvable group."""
-    def rot(theta, v):
-        return np.eye(n) - (1 - np.exp(1j * theta)) * np.outer(v, np.conj(v))
-
-    sym = SchubertSymbol(entries, n, klass)
-    params = sample_interior_params(sym, seed)
-    for i, top in tops.items():
-        t, v = params[i]
-        v = v.copy()
-        v[-1] = top
-        params[i] = (t, v / np.linalg.norm(v))
-    scale = np.pi if klass == "symmetric" else 2 * np.pi
-    rots = [(-scale * sum(t for t, _ in params), e(1, n))]
-    rots += [(scale * t, np.concatenate([v, np.zeros(n - len(v))])) for t, v in params]
-    if klass == "skew":
-        rots += [(theta, rotor.jmul(x)) for theta, x in reversed(rots)]
-    b = functools.reduce(np.matmul, (rot(theta, x) for theta, x in rots))
-    if klass == "symmetric":
-        b = b @ b.T
-    elif klass == "skew":
-        b = b @ numlin.jn(n // 2)
-    if not dress:
-        return b
-    d = milnor.dressing_sample(n, klass, seed)
-    return b @ d if klass == "general" else d.T @ b @ d
-
-
 class TestBoundaryConditioning:
     """Near a cell boundary the angle read off a row with a small pivot is
     sensitive to rounding, and its error can make a row no factor owns read
@@ -164,13 +132,15 @@ class TestBoundaryConditioning:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_pushed_lines_never_wrong(self, data):
-        """The boundary contract: the planted symbol, a boundary flag or a
-        ConvergenceFailure, never a different symbol."""
+        """The boundary contract for compact and dressed general cells: the
+        planted symbol, a boundary flag or a ConvergenceFailure, never a
+        different symbol."""
         n = data.draw(st.integers(4, 8))
         entries = tuple(sorted(data.draw(st.sets(st.integers(2, n), min_size=1, max_size=n - 1))))
         pushed = data.draw(st.sets(st.integers(0, len(entries) - 1), min_size=1, max_size=2))
         tops = {i: 10.0 ** data.draw(st.floats(np.log10(1.5e-6), -1.0)) for i in pushed}
-        b = _pushed_cell(entries, n, data.draw(st.integers(0, 2**31 - 1)), tops)
+        b = _pushed_cell(entries, n, data.draw(st.integers(0, 2**31 - 1)), tops,
+                         dress=data.draw(st.booleans()))
         try:
             cid = milnor.identify(b, "general")
         except ConvergenceFailure:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from schubert import numlin
-from schubert.errors import NotInFiber, PreconditionViolated
+from schubert.errors import ConvergenceFailure, NotInFiber, NotInModel, PreconditionViolated
 from schubert.factor import SchubertSymbol
 from schubert.milnor import (
     FiberElement,
@@ -18,6 +18,8 @@ from schubert.milnor import (
     undress_skew,
     undress_symmetric,
 )
+
+from boundary_survey import pushed_cell
 
 
 class TestFiberElement:
@@ -127,6 +129,34 @@ class TestIdentifySkew:
         assert found is not None
         compact, witness = found
         assert np.linalg.norm(witness.T @ compact @ witness - e.T @ point @ e) < 1e-8
+
+    def test_undress_refuses_odd_dimension(self, rng):
+        assert undress_skew(numlin.haar_sample(5, "sym_fiber", rng)) is None
+
+
+class TestOpenTransportDefects:
+    """Dressed skew inputs on which transport still breaks the boundary
+    contract: the planted symbol, a boundary flag or a ConvergenceFailure.
+    They are pinned as strict expected failures, so mending either turns
+    its case into an unexpected pass."""
+
+    @staticmethod
+    def _contract(b, entries):
+        try:
+            cid = identify(b, "skew")
+        except ConvergenceFailure:
+            return
+        assert cid.boundary_ambiguous or cid.symbol.entries == entries
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="undress_skew misses and the congruence fallback returns the top cell")
+    def test_dressed_n24_is_not_the_top_cell(self):
+        self._contract(fiber_sample(SchubertSymbol((2, 5, 9), 24, "skew"), 1, dress=True), (2, 5, 9))
+
+    @pytest.mark.xfail(strict=True, raises=NotInModel,
+                       reason="the undressed compact part fails factorize_skew's model gate")
+    def test_dressed_pushed_pivot_is_not_rejected(self):
+        self._contract(pushed_cell((2,), 8, 1585177474, {0: 5.8e-7}, "skew", dress=True), (2,))
 
 
 class TestSolInvariance:
