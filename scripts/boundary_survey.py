@@ -3,7 +3,9 @@
 
 For each class, compact and dressed, planted cells at n = 4..8 get the last
 chart coordinate of one or two of their lines set log-uniformly in
-[--lo, --hi], which pushes the point toward a cell boundary.  The products
+[--lo, --hi], which pushes the point toward a cell boundary.  All draws
+come from one generator with the fixed seed 17, so the options alone fix
+the inputs and the table.  The products
 are multiplied out from plain pseudo-rotations I - (1 - e^(i theta)) x x*,
 because ``schubert_map`` snaps coordinates below 1e-7.  Each point is
 identified and counted as
@@ -82,10 +84,9 @@ def main() -> None:
     ap.add_argument("--probes", type=int, default=100, help="points per class and dressing")
     ap.add_argument("--lo", type=float, default=1.5e-6, help="smallest pushed coordinate")
     ap.add_argument("--hi", type=float, default=1e-1, help="largest pushed coordinate")
-    ap.add_argument("--seed", type=int, default=17)
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(17)
     log_lo, log_hi = np.log10(args.lo), np.log10(args.hi)
     print(f"{'':18s}" + "".join(f"{name:>{len(name) + 2}s}" for name in OUTCOMES))
     bad = []

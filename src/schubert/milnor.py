@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import cohom
-from .errors import PreconditionViolated
+from .errors import OddDimension, PreconditionViolated
 from .factor import (
     OrderedFactorization,
     SchubertSymbol,
@@ -57,6 +57,12 @@ from .rotor import check_class, jmul, sigma
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
+def _compose(compact, witness, klass: str) -> np.ndarray:
+    """The class's composition law: ``compact . witness`` for the general
+    class, the congruence ``witness^T . compact . witness`` otherwise."""
+    return compact @ witness if klass == "general" else witness.T @ compact @ witness
+
+
 @dataclass(frozen=True)
 class CellIdentification:
     """Result of a cell identification.
@@ -82,9 +88,7 @@ class CellIdentification:
         return replace(cid, residual=float(np.linalg.norm(cid.reconstruction() - b)))
 
     def reconstruction(self) -> np.ndarray:
-        if self.symbol.klass == "general":
-            return self.compact_part @ self.witness
-        return self.witness.T @ self.compact_part @ self.witness
+        return _compose(self.compact_part, self.witness, self.symbol.klass)
 
 
 def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
@@ -191,8 +195,6 @@ def _undress(b, klass: str, tol: ToleranceConfig):
     b = as_square_matrix(b)
     n = b.shape[0]
     skew = klass == "skew"
-    if skew and n % 2 != 0:
-        return None
     try:
         clusters = _unit_eig_clusters(np.linalg.inv(sigma(b, klass)) @ b)
         if clusters is None:
@@ -211,7 +213,7 @@ def _undress(b, klass: str, tol: ToleranceConfig):
             e = e.real.astype(np.complex128)
         einv = np.linalg.inv(e)
         compact = einv.T @ b @ einv
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, OddDimension):  # sigma refuses an odd skew input
         return None
     scale = max(1.0, float(np.linalg.norm(b)))
     ok = (
@@ -303,8 +305,7 @@ def sol_invariance_check(
         raise PreconditionViolated("E must be upper triangular, positive diagonal, det 1")
     before = identify(b, klass, tol)
     mat = as_square_matrix(b)
-    moved = mat @ e if klass == "general" else e.T @ mat @ e
-    after = identify(moved, klass, tol)
+    after = identify(_compose(mat, e, klass), klass, tol)
     return SolInvarianceReport(symbol=before.symbol, symbol_after=after.symbol)
 
 
@@ -378,7 +379,4 @@ def fiber_sample(symbol: SchubertSymbol, seed=0, dress: bool = False,
         point = point @ jn(symbol.ambient // 2)
     if not dress:
         return point
-    e = dressing_sample(symbol.ambient, symbol.klass, rng)
-    if symbol.klass == "general":
-        return point @ e
-    return e.T @ point @ e
+    return _compose(point, dressing_sample(symbol.ambient, symbol.klass, rng), symbol.klass)

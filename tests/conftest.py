@@ -1,13 +1,7 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from schubert.tolerances import DEFAULT_TOL
-
-# the boundary tests build their inputs with scripts/boundary_survey.py
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 
 @pytest.fixture
