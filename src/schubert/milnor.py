@@ -379,4 +379,5 @@ def fiber_sample(symbol: SchubertSymbol, seed=0, dress: bool = False,
         point = point @ jn(symbol.ambient // 2)
     if not dress:
         return point
-    return _compose(point, dressing_sample(symbol.ambient, symbol.klass, rng), symbol.klass)
+    e = dressing_sample(symbol.ambient, symbol.klass, rng)
+    return _compose(point, e, symbol.klass)
