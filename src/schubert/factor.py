@@ -13,9 +13,12 @@ returned.  The rank profile of W - I, W the unitary polar factor, names
 the same min-indices with no fitted angle in between; when the two
 disagree or a rank is decided in its gray zone, the result is flagged
 boundary-ambiguous.  The symmetric and skew-symmetric Cartan models carry
-analogous unique factorizations: half-angle real-axis factors applied by
-iterated Cartan conjugation, and quaternionic pairs ``(A, sigma(A*))``
-peeled off two at a time.
+analogous unique factorizations, which one Cartan peel reads off the
+decreasing general factorization by iterated Cartan conjugation: one
+half-angle real-axis factor per step for the symmetric class, one
+quaternionic pair ``(A, sigma(A*))`` per step for the skew class.  Order
+reversal conjugates each axis by the running product of the factors
+already passed.
 
 The ``schubert_map*`` functions are the forward cell parametrizations;
 together with the factorization engines they form the round-trip oracles
@@ -52,7 +55,7 @@ from .numlin import (
 from .rotor import (
     TAU,
     PseudoRotation,
-    apply,
+    apply,  # noqa: F401  (a lookup point of perfbench/tracer.py)
     canonical_axis,
     check_class,
     jmul,
@@ -224,9 +227,7 @@ def _peel_rows(
         axes[j - 1, :j] = x
         rows = w[: j - 1, :j]
         rows -= ((rows @ x) * (1.0 - cmath.exp(-1j * thetas[j - 1])))[:, None] * x.conj()
-    thetas, axes = thetas[read], axes[read]
-    if len(axes):
-        axes = canonical_axis(axes, tol)
+    thetas, axes = thetas[read], canonical_axis(axes[read], tol)
     phi = float(np.angle(w[0, 0]))
     gray = gray or in_gray_zone(phi, tol.tol_angle)
     return thetas, axes, min_indices(axes, tol).tolist(), phi, gray
@@ -330,43 +331,26 @@ def reverse_order(
     order, keeping the product and the min-index multiset fixed.
 
     Increasing to decreasing uses
-    ``B_i = A_1 ... A_(i-1) A_i A_(i-1)^-1 ... A_1^-1``; the opposite
-    direction inverts that conjugation chain.
+    ``B_i = A_1 ... A_(i-1) A_i A_(i-1)^-1 ... A_1^-1``, and the opposite
+    direction the same chain with every ``A_j`` inverted.  So the axis of
+    ``B_i`` is ``R x_i`` for the running product R of the factors already
+    passed, which one rank-1 update per factor keeps.  The chained axes are
+    canonicalised together with ``tol``.
     """
     if f.klass != "general":
         raise UnsupportedClass("order reversal applies to the general class")
-    if f.order == "increasing":
-        asc = f.all_factors()
-        out: list[PseudoRotation] = []
-        for i, a in enumerate(asc):
-            y = a.axis
-            for j in range(i - 1, -1, -1):
-                y = apply(asc[j], y)
-            out.append(PseudoRotation(a.theta, y))
-        fact = OrderedFactorization(
-            klass="general",
-            order="decreasing",
-            ambient=f.ambient,
-            factors=tuple(reversed(out)),
-            boundary_ambiguous=f.boundary_ambiguous,
-        )
-    else:
-        asc = list(reversed(f.all_factors()))
-        out = []
-        for i, bfac in enumerate(asc):
-            y = bfac.axis
-            for j in range(i - 1, -1, -1):
-                y = apply(asc[j].inverse(), y)
-            out.append(PseudoRotation(bfac.theta, y))
-        correction, factors = _split_correction(out, tol)
-        fact = OrderedFactorization(
-            klass="general",
-            order="increasing",
-            ambient=f.ambient,
-            factors=tuple(factors),
-            correction=correction,
-            boundary_ambiguous=f.boundary_ambiguous,
-        )
+    inc = f.order == "increasing"
+    asc = f.all_factors() if inc else f.all_factors()[::-1]
+    sign = 1j if inc else -1j
+    r = np.eye(f.ambient, dtype=np.complex128)
+    ys = np.zeros((len(asc), f.ambient), dtype=np.complex128)
+    for i, a in enumerate(asc):
+        ys[i] = r @ a.axis
+        r -= (ys[i] * (1.0 - cmath.exp(sign * a.theta)))[:, None] * a.axis.conj()
+    out = [PseudoRotation.of_canonical(a.theta, y) for a, y in zip(asc, canonical_axis(ys, tol))]
+    correction, factors = (None, out[::-1]) if inc else _split_correction(out, tol)
+    fact = replace(f, order="decreasing" if inc else "increasing", factors=tuple(factors),
+                   correction=correction)
     residual = float(np.linalg.norm(fact.matrix() - f.matrix()))
     return replace(fact, residual=residual)
 
@@ -412,9 +396,8 @@ def _conjugate_rest(axes: np.ndarray, start: int, c: PseudoRotation, tol: Tolera
     """Conjugate the stacked axes in rows ``start:`` by ``c^-1`` in place:
     one rank-1 update of all of them, then one canonicalisation."""
     rest = axes[start:]
-    if len(rest):
-        rest -= ((rest @ c.axis.conj()) * (1.0 - np.exp(-1j * c.theta)))[:, None] * c.axis
-        axes[start:] = canonical_axis(rest, tol)
+    rest -= ((rest @ c.axis.conj()) * (1.0 - np.exp(-1j * c.theta)))[:, None] * c.axis
+    axes[start:] = canonical_axis(rest, tol)
 
 
 def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -> float:
@@ -426,13 +409,46 @@ def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -
     return math.sqrt(abs(beta * c2 - alpha) ** 2 + abs(beta) ** 2 * s * s * (2.0 * c2 + s * s))
 
 
-def _cartan_result(klass: str, halves: list[PseudoRotation], b: np.ndarray, gray: bool,
-                   tol: ToleranceConfig) -> OrderedFactorization:
-    """The increasing factorization of the model element ``b`` from its
-    peeled half factors, after the reconstruction residual gate."""
+def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
+    """Increasing factorization of a symmetric or skew Cartan model element
+    by iterated Cartan conjugation, working up its decreasing factorization.
+
+    The symmetric class peels one factor at a time: it must be a real-axis
+    rotation, and its half-angle square root C is split off.  The skew
+    class peels one quaternionic pair at a time: the factor count is even,
+    the lowest min-index odd, its partner one higher and equal to
+    ``sigma(A_1*)``, which is recomputed rather than trusted from the
+    factorization, and C = A_1.  Each C conjugates all remaining axes by
+    ``C^-1`` at once, one rank-1 update of their stacked rows costing
+    O(k n).
+    """
+    elem = model_element(b, klass, tol)
+    b = elem.matrix
+    step = 2 if klass == "skew" else 1
+    dec = factorize_decreasing(elem, tol)
+    work = dec.factors[::-1]
+    axes = np.array([f.axis for f in work]).reshape(len(work), b.shape[0])
+    if len(work) % step != 0:
+        raise StructureViolation(f"odd factor count {len(work)}")
+    halves: list[PseudoRotation] = []
+    for i in range(0, len(work), step):
+        if klass == "symmetric":
+            c = PseudoRotation.of_canonical(work[i].theta / 2.0, _real_axis(axes[i], tol))
+        else:
+            c = PseudoRotation.of_canonical(work[i].theta, axes[i])
+            m1, m2 = min_indices(axes[i : i + 2], tol).tolist()
+            if m1 % 2 == 0:
+                raise StructureViolation(f"lowest min-index {m1} is even")
+            if m2 != m1 + 1:
+                raise StructureViolation(f"pair indices ({m1}, {m2}) are not consecutive")
+            gap = _partner_gap(axes[i + 1], work[i + 1].theta, jmul(c.axis), c.theta)
+            if gap > tol.structure:
+                raise StructureViolation(f"j-partner deviates by {gap:.3g}")
+        halves.append(c)
+        _conjugate_rest(axes, i + step, c, tol)
     correction, factors = _split_correction(halves, tol)
     fact = OrderedFactorization(klass, "increasing", b.shape[0], tuple(factors), correction,
-                                boundary_ambiguous=gray)
+                                boundary_ambiguous=dec.boundary_ambiguous)
     residual = float(np.linalg.norm(fact.matrix() - b))
     if residual > tol.structure * b.shape[0]:
         raise ConvergenceFailure(f"{klass} reconstruction residual {residual:.3g}")
@@ -441,59 +457,15 @@ def _cartan_result(klass: str, halves: list[PseudoRotation], b: np.ndarray, gray
 
 def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Ordered symmetric factorization ``B = C_1 ... C_k C_k ... C_1`` of a
-    symmetric special unitary matrix by half-angle real-axis rotations.
-
-    Works up the decreasing factorization: the lowest factor must be a
-    real-axis rotation; its half-angle square root C is split off by Cartan
-    conjugation, which conjugates all remaining axes by ``C^-1`` at once,
-    one rank-1 update of their stacked rows costing O(k n).
-    """
-    elem = model_element(b, "symmetric", tol)
-    b = elem.matrix
-    dec = factorize_decreasing(elem, tol)
-    work = dec.factors[::-1]
-    axes = np.array([f.axis for f in work]).reshape(len(work), b.shape[0])
-    halves: list[PseudoRotation] = []
-    for i, f in enumerate(work):
-        c = PseudoRotation.of_canonical(f.theta / 2.0, _real_axis(axes[i], tol))
-        halves.append(c)
-        _conjugate_rest(axes, i + 1, c, tol)
-    return _cartan_result("symmetric", halves, b, dec.boundary_ambiguous, tol)
+    symmetric special unitary matrix by half-angle real-axis rotations."""
+    return _cartan_peel(b, "symmetric", tol)
 
 
 def factorize_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Ordered skew-symmetric factorization of a skew Cartan model element
-    ``B = A_1 ... A_r sigma(A_r*) ... sigma(A_1*)``.
-
-    The decreasing factorization must split into quaternionic pairs: an
-    even factor count, lowest min-index odd, its partner one higher and
-    equal to ``sigma(A_1*)``.  Pairs are peeled off by Cartan conjugation,
-    one rank-1 update of the stacked remaining axes by ``A_1^-1``; the
-    partner is recomputed as ``sigma(A_1*)`` rather than trusted from the
-    factorization.  Symbol entries are the half-indices (m+1)/2 of the
-    emitted factors, the (1,2) correction pair excluded.
-    """
-    elem = model_element(b, "skew", tol)
-    b = elem.matrix
-    dec = factorize_decreasing(elem, tol)
-    work = dec.factors[::-1]
-    axes = np.array([f.axis for f in work]).reshape(len(work), b.shape[0])
-    if len(work) % 2 != 0:
-        raise StructureViolation(f"odd factor count {len(work)}")
-    halves: list[PseudoRotation] = []
-    for i in range(0, len(work), 2):
-        a1 = PseudoRotation.of_canonical(work[i].theta, axes[i])
-        m1, m2 = min_indices(axes[i : i + 2], tol).tolist()
-        if m1 % 2 == 0:
-            raise StructureViolation(f"lowest min-index {m1} is even")
-        if m2 != m1 + 1:
-            raise StructureViolation(f"pair indices ({m1}, {m2}) are not consecutive")
-        gap = _partner_gap(axes[i + 1], work[i + 1].theta, jmul(a1.axis), a1.theta)
-        if gap > tol.structure:
-            raise StructureViolation(f"j-partner deviates by {gap:.3g}")
-        halves.append(a1)
-        _conjugate_rest(axes, i + 2, a1, tol)
-    return _cartan_result("skew", halves, b, dec.boundary_ambiguous, tol)
+    ``B = A_1 ... A_r sigma(A_r*) ... sigma(A_1*)``; symbol entries are the
+    half-indices (m+1)/2 of the factors, the (1,2) correction pair excluded."""
+    return _cartan_peel(b, "skew", tol)
 
 
 def _e1(n: int) -> np.ndarray:
@@ -502,25 +474,24 @@ def _e1(n: int) -> np.ndarray:
     return v
 
 
-def _pad_line(line, m: int, n: int, tol: ToleranceConfig) -> np.ndarray:
+def _pad_line(line, m: int, n: int) -> np.ndarray:
     v = np.asarray(line, dtype=np.complex128)
     if v.ndim != 1:
         raise DimensionMismatch("cell line must be a vector")
     if len(v) == m:
         v = np.concatenate([v, np.zeros(n - m, dtype=np.complex128)])
     elif len(v) == n:
-        if min_index(v, tol) > m:
+        if min_index(v) > m:
             raise DimensionMismatch(f"line is not inside C^{m}")
     else:
         raise DimensionMismatch(f"line length {len(v)} matches neither {m} nor {n}")
     nrm = float(np.linalg.norm(v))
-    if nrm <= tol.tol_zero:
+    if nrm <= DEFAULT_TOL.tol_zero:
         raise DimensionMismatch("cell line is zero")
     return v / nrm
 
 
-def _cell_rotations(symbol: SchubertSymbol, params, klass: str, scale: float,
-                    tol: ToleranceConfig) -> list[PseudoRotation]:
+def _cell_rotations(symbol: SchubertSymbol, params, klass: str, scale: float) -> list[PseudoRotation]:
     """``A_(-scale T, e_1)`` and the ``A_(scale t_j, L_j)`` of a cell map of
     the class, T the sum of the t_j, with the lines inside C^(m_j) (inside
     C^(2 m_j - 1) for the skew class, and real for the symmetric class)."""
@@ -532,16 +503,14 @@ def _cell_rotations(symbol: SchubertSymbol, params, klass: str, scale: float,
     n, total, rots = symbol.ambient, 0.0, []
     for m, (t, line) in zip(symbol.entries, params):
         total += float(t)
-        v = _pad_line(line, 2 * m - 1 if klass == "skew" else m, n, tol)
-        if klass == "symmetric" and float(np.linalg.norm(v.imag)) > tol.tol_zero * 100:
+        v = _pad_line(line, 2 * m - 1 if klass == "skew" else m, n)
+        if klass == "symmetric" and float(np.linalg.norm(v.imag)) > DEFAULT_TOL.tol_zero * 100:
             raise PreconditionViolated("symmetric cells need real lines")
         rots.append(PseudoRotation(scale * float(t), v))
     return [PseudoRotation(-scale * total, _e1(n))] + rots
 
 
-def schubert_map(
-    symbol: SchubertSymbol, params, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def schubert_map(symbol: SchubertSymbol, params) -> np.ndarray:
     """Forward parametrization of a general Schubert cell.
 
     ``A_(-2 pi T, e_1) prod_j A_(2 pi t_j, L_j)`` for T the sum of the t_j
@@ -549,24 +518,20 @@ def schubert_map(
     ``symbol`` for interior parameters (t_j in (0,1), positive m_j-th
     coordinate).
     """
-    rots = _cell_rotations(symbol, params, "general", TAU, tol)
+    rots = _cell_rotations(symbol, params, "general", TAU)
     return functools.reduce(np.matmul, [r.matrix() for r in rots])
 
 
-def schubert_map_sy(
-    symbol: SchubertSymbol, params, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def schubert_map_sy(symbol: SchubertSymbol, params) -> np.ndarray:
     """Forward parametrization of a symmetric Schubert cell: the Cartan
     conjugate of the identity by ``A_(-pi T, e_1) prod_j A_(pi t_j, L_j)``
     with real lines L_j inside R^(m_j)."""
-    rots = _cell_rotations(symbol, params, "symmetric", np.pi, tol)
+    rots = _cell_rotations(symbol, params, "symmetric", np.pi)
     psi = functools.reduce(np.matmul, [r.matrix() for r in rots])
     return psi @ psi.T
 
 
-def schubert_map_sk(
-    symbol: SchubertSymbol, params, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def schubert_map_sk(symbol: SchubertSymbol, params) -> np.ndarray:
     """Forward parametrization of a skew Schubert cell inside the Cartan
     model on C^(2n).
 
@@ -575,7 +540,7 @@ def schubert_map_sk(
     inside C^(2 m_j - 1) is the Cartan conjugate of the identity, hence in
     the model; interior parameters land in the open cell of ``symbol``.
     """
-    rots = _cell_rotations(symbol, params, "skew", TAU, tol)
+    rots = _cell_rotations(symbol, params, "skew", TAU)
     rots += [PseudoRotation(r.theta, jmul(r.axis)) for r in reversed(rots)]
     return functools.reduce(np.matmul, [r.matrix() for r in rots])
 
@@ -584,7 +549,7 @@ def sample_interior_params(symbol: SchubertSymbol, seed=0) -> list[tuple[float, 
     """Seeded interior parameters for the cell of ``symbol``: angles away
     from the cone points and lines with a comfortably positive chart
     coordinate."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     params: list[tuple[float, np.ndarray]] = []
     for m in symbol.entries:
         t = float(rng.uniform(0.15, 0.85))
@@ -601,16 +566,14 @@ def sample_interior_params(symbol: SchubertSymbol, seed=0) -> list[tuple[float, 
     return params
 
 
-def cell_sample(
-    symbol: SchubertSymbol, seed=0, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def cell_sample(symbol: SchubertSymbol, seed=0) -> np.ndarray:
     """Seeded element of the open cell of ``symbol`` (compact model)."""
     params = sample_interior_params(symbol, seed)
     if symbol.klass == "symmetric":
-        return schubert_map_sy(symbol, params, tol)
+        return schubert_map_sy(symbol, params)
     if symbol.klass == "skew":
-        return schubert_map_sk(symbol, params, tol)
-    return schubert_map(symbol, params, tol)
+        return schubert_map_sk(symbol, params)
+    return schubert_map(symbol, params)
 
 
 def cartan_model_sample(n: int, klass: str, seed=0) -> np.ndarray:
@@ -629,9 +592,7 @@ def cartan_model_sample(n: int, klass: str, seed=0) -> np.ndarray:
     return u @ j @ u.T @ (-j)
 
 
-def embed(
-    f: OrderedFactorization, n_new: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> OrderedFactorization:
+def embed(f: OrderedFactorization, n_new: int) -> OrderedFactorization:
     """Include a factorization in the next tower level by padding axes with
     zeros; the symbol is unchanged."""
     step = 2 if f.klass == "skew" else 1
@@ -642,14 +603,7 @@ def embed(
 
     def pad(rot: PseudoRotation) -> PseudoRotation:
         ax = np.concatenate([rot.axis, np.zeros(n_new - f.ambient, dtype=np.complex128)])
-        return PseudoRotation(rot.theta, ax)
+        return PseudoRotation.of_canonical(rot.theta, ax)
 
-    return OrderedFactorization(
-        klass=f.klass,
-        order=f.order,
-        ambient=n_new,
-        factors=tuple(pad(r) for r in f.factors),
-        correction=None if f.correction is None else pad(f.correction),
-        residual=f.residual,
-        boundary_ambiguous=f.boundary_ambiguous,
-    )
+    return replace(f, ambient=n_new, factors=tuple(pad(r) for r in f.factors),
+                   correction=None if f.correction is None else pad(f.correction))

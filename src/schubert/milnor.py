@@ -331,8 +331,8 @@ def closure_product_check(
     sym1 = SchubertSymbol(tuple(m), n, "general")
     sym2 = SchubertSymbol(tuple(mp), n, "general")
     rng = np.random.default_rng(seed)
-    p = schubert_map(sym1, sample_interior_params(sym1, rng), tol)
-    q = schubert_map(sym2, sample_interior_params(sym2, rng), tol)
+    p = schubert_map(sym1, sample_interior_params(sym1, rng))
+    q = schubert_map(sym2, sample_interior_params(sym2, rng))
     prod_symbol = factorize_su(p @ q, tol).symbol(tol).entries
     disjoint = not (set(sym1.entries) & set(sym2.entries))
     expected = bound = None
@@ -364,8 +364,7 @@ def dressing_sample(n: int, klass: str, seed=0) -> np.ndarray:
     return quaternionic_solvable_sample(n, seed)
 
 
-def fiber_sample(symbol: SchubertSymbol, seed=0, dress: bool = False,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def fiber_sample(symbol: SchubertSymbol, seed=0, dress: bool = False) -> np.ndarray:
     """Seeded fiber element in the cell of ``symbol``.
 
     Without dressing this is the compact-model point itself (for the skew
@@ -373,8 +372,8 @@ def fiber_sample(symbol: SchubertSymbol, seed=0, dress: bool = False,
     class-appropriate solvable witness moves it off the compact model
     within its cell.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    point = cell_sample(symbol, rng, tol)
+    rng = np.random.default_rng(seed)
+    point = cell_sample(symbol, rng)
     if symbol.klass == "skew":
         point = point @ jn(symbol.ambient // 2)
     if not dress:

@@ -392,7 +392,7 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
 def solvable_sample(n: int, seed=0) -> np.ndarray:
     """Seeded random element of Sol_n (upper triangular, positive diagonal,
     det 1)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     diag = np.exp(rng.uniform(-0.5, 0.5, size=n))
     diag /= np.prod(diag) ** (1.0 / n)
     e = np.diag(diag.astype(np.complex128))
@@ -409,7 +409,7 @@ def real_solvable_sample(n: int, seed=0) -> np.ndarray:
     This is the Iwasawa solvable factor of SL_n(R); congruence by it is the
     cell-preserving dressing for the symmetric fiber.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     diag = np.exp(rng.uniform(-0.5, 0.5, size=n))
     diag /= np.prod(diag) ** (1.0 / n)
     e = np.diag(diag.astype(np.complex128))
@@ -430,7 +430,7 @@ def quaternionic_solvable_sample(n: int, seed=0) -> np.ndarray:
     """
     if n % 2 != 0:
         raise OddDimension("quaternionic solvable needs an even dimension")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     half = n // 2
     diag = np.exp(rng.uniform(-0.5, 0.5, size=half))
     diag /= np.prod(diag) ** (1.0 / half)
@@ -470,7 +470,7 @@ def haar_sample(
         raise DimensionMismatch("need n >= 2")
     if klass == "skew_fiber" and n % 2 != 0:
         raise OddDimension("skew_fiber needs even n")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     q, r = np.linalg.qr(_ginibre(rng, n))
     phases = np.diag(r) / np.abs(np.diag(r))

@@ -74,7 +74,8 @@ def _row_norms(rows: np.ndarray):
 
 def canonical_axis(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Unit representative of the line <x> whose min-index coordinate is
-    real and positive; a 2-D array is a stack of axes, one per row.
+    real and positive; a 2-D array is a stack of axes, one per row, and
+    may be empty.
 
     Coordinates below the residual tolerance are snapped to zero first:
     they are indistinguishable from zero at the working precision of the
@@ -84,7 +85,7 @@ def canonical_axis(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     xv = np.asarray(x, dtype=np.complex128)
     rows = np.atleast_2d(xv)
     norm = _row_norms(rows)
-    if not tol.tol_zero < norm.min() < math.inf:
+    if len(rows) and not tol.tol_zero < norm.min() < math.inf:
         raise ZeroVector("cannot normalize a zero or non-finite axis")
     keep = np.abs(rows) > tol.axis_snap * norm
     rows = rows * keep

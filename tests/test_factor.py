@@ -338,16 +338,28 @@ class TestDecreasingAndReverse:
         assert reverse_order(f).factors == ()
 
     def test_reverse_round_trip(self, rng):
-        b = numlin.haar_sample(4, "special_unitary", rng)
-        f = factorize_su(b)
-        g = reverse_order(f)
-        assert g.order == "decreasing"
-        assert np.linalg.norm(g.matrix() - b) <= 1e-10
-        assert sorted(g.min_indices()) == sorted(
-            list(f.min_indices()) + ([1] if f.correction is not None else []))
-        h = reverse_order(g)
-        assert np.linalg.norm(h.matrix() - b) <= 1e-10
-        assert h.min_indices() == f.min_indices()
+        inputs = [numlin.haar_sample(n, "special_unitary", rng) for n in (2, 5, 9, 16)]
+        inputs.append(cell_sample(SchubertSymbol((2, 5, 7), 9), seed=11))
+        for b in inputs:
+            f = factorize_su(b)
+            g = reverse_order(f)
+            assert g.order == "decreasing"
+            assert np.linalg.norm(g.matrix() - b) <= 1e-10
+            assert sorted(g.min_indices()) == sorted(
+                list(f.min_indices()) + ([1] if f.correction is not None else []))
+            h = reverse_order(g)
+            assert np.linalg.norm(h.matrix() - b) <= 1e-10
+            assert h.min_indices() == f.min_indices()
+
+    def test_reverse_snaps_with_the_callers_tol(self):
+        """A coordinate of 1e-8 is an axis coordinate under a tight tol, and
+        the chained axes must keep it."""
+        v = np.array([1e-8, 0.6, 0.8]) / np.linalg.norm([1e-8, 0.6, 0.8])
+        b = PseudoRotation(-0.9, e(1, 3)).matrix() @ (np.eye(3) - (1 - np.exp(0.9j)) * np.outer(v, v))
+        tight = ToleranceConfig(tol_zero=1e-14, tol_residual=1e-12)
+        g = reverse_order(factorize_su(b, tight), tight)
+        assert g.residual <= 1e-12
+        assert np.linalg.norm(g.matrix() - b) <= 1e-12
 
 
 class TestInvariance:
