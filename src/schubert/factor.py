@@ -396,8 +396,9 @@ def _conjugate_rest(axes: np.ndarray, start: int, c: PseudoRotation, tol: Tolera
     """Conjugate the stacked axes in rows ``start:`` by ``c^-1`` in place:
     one rank-1 update of all of them, then one canonicalisation."""
     rest = axes[start:]
-    rest -= ((rest @ c.axis.conj()) * (1.0 - np.exp(-1j * c.theta)))[:, None] * c.axis
-    axes[start:] = canonical_axis(rest, tol)
+    if len(rest):
+        rest -= ((rest @ c.axis.conj()) * (1.0 - np.exp(-1j * c.theta)))[:, None] * c.axis
+        axes[start:] = canonical_axis(rest, tol)
 
 
 def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -> float:
