@@ -78,14 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("symbol", help="identify the Schubert cell of a matrix document")
     sp.add_argument("--in", dest="infile", required=True, help="matrix document (JSON)")
-    sp.add_argument("--class", dest="klass", choices=("general", "symmetric", "skew"),
+    sp.add_argument("--class", dest="klass", choices=cohom.CLASSES,
                     help="override the document's class tag")
     sp.add_argument("--tol", type=float, help="residual tolerance (scales the others)")
     sp.add_argument("--out", choices=("json", "text"), default="text")
 
     sp = sub.add_parser("sample", help="emit a deterministic element of a Schubert cell")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=("general", "symmetric", "skew"))
+    sp.add_argument("--class", dest="klass", required=True, choices=cohom.CLASSES)
     sp.add_argument("--symbol", default="", help="comma-joined entries, empty for the identity cell")
     sp.add_argument("--n", type=int, required=True,
                     help="ambient bound (half-dimension for the skew class)")
@@ -94,15 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="dress the compact point with a solvable witness")
 
     sp = sub.add_parser("cells", help="list the Schubert symbols and cell dimensions")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=("general", "symmetric", "skew"))
+    sp.add_argument("--class", dest="klass", required=True, choices=cohom.CLASSES)
     sp.add_argument("--n", type=int, required=True)
 
     sp = sub.add_parser("betti", help="per-degree cell counts with the polynomial cross-check")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=("general", "symmetric", "skew"))
+    sp.add_argument("--class", dest="klass", required=True, choices=cohom.CLASSES)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--ring", choices=("Z", "Z2"), default=None)
+    sp.add_argument("--ring", choices=cohom.RINGS, default=None)
 
     sp = sub.add_parser("dual", help="Kronecker dual of a Schubert class")
     sp.add_argument("--m", required=True)

@@ -23,13 +23,23 @@ from .errors import (
     UnsupportedCoefficients,
 )
 
+#: the three matrix classes; the tag fixes the Cartan involution sigma
 CLASSES = ("general", "symmetric", "skew")
 RINGS = ("Z", "Z2")
 
 Monomial = tuple[int, ...]
 
 
-def _check_entries(m) -> Monomial:
+def check_class(klass: str) -> str:
+    """The package's one class-tag check."""
+    if klass not in CLASSES:
+        raise UnsupportedClass(f"unknown matrix class {klass!r}")
+    return klass
+
+
+def check_entries(m) -> Monomial:
+    """The package's one symbol-entry check: a strictly increasing tuple of
+    integers > 1, converted with ``operator.index``."""
     try:  # operator.index takes numpy integers and refuses floats
         t = tuple(map(operator.index, m))
     except TypeError:
@@ -59,10 +69,8 @@ def cell_dim(m, klass: str = "general") -> int:
     generator degrees, in closed form: 2|m| - l, |m| or 4|m| - 3l by class,
     where |m| is the entry sum and l the length.  The class and the symbol
     are both validated."""
-    if klass not in CLASSES:
-        raise UnsupportedClass(f"unknown class {klass!r}")
-    scale, shift = _DIM_FORM[klass]
-    t = _check_entries(m)
+    scale, shift = _DIM_FORM[check_class(klass)]
+    t = check_entries(m)
     return scale * sum(t) - shift * len(t)
 
 
@@ -73,8 +81,7 @@ def enumerate_symbols(n: int, klass: str = "general") -> list[Monomial]:
 
     For the skew class the bound n is half the ambient dimension 2n.
     """
-    if klass not in CLASSES:
-        raise UnsupportedClass(f"unknown class {klass!r}")
+    check_class(klass)
     try:
         n = operator.index(n)
     except TypeError:
@@ -94,24 +101,26 @@ def cell_dims(n: int, klass: str = "general") -> tuple[list[Monomial], list[int]
 
 def beta(m) -> int:
     """Sign exponent binomial(l(m), 2)."""
-    t = _check_entries(m)
+    t = check_entries(m)
     return math.comb(len(t), 2)
+
+
+def _merge_disjoint(m, mp) -> tuple[Monomial, int]:
+    """The merge of two symbols and its sign; they must be disjoint."""
+    a, b = check_entries(m), check_entries(mp)
+    if set(a) & set(b):
+        raise NotDisjoint(f"{a} and {b} share entries")
+    return _merge_sign(a, b)
 
 
 def epsilon(m, mp) -> int:
     """Sign of the permutation merging the disjoint symbols (m, m') into
     increasing order, computed as the parity of merge inversions."""
-    a, b = _check_entries(m), _check_entries(mp)
-    if set(a) & set(b):
-        raise NotDisjoint(f"{a} and {b} share entries")
-    return _merge_sign(a, b)[1]
+    return _merge_disjoint(m, mp)[1]
 
 
 def merge_symbols(m, mp) -> Monomial:
-    a, b = _check_entries(m), _check_entries(mp)
-    if set(a) & set(b):
-        raise NotDisjoint(f"{a} and {b} share entries")
-    return tuple(sorted(a + b))
+    return _merge_disjoint(m, mp)[0]
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,7 @@ class ExtElement:
             raise UnsupportedCoefficients(f"unknown ring {self.ring!r}")
         clean: dict[Monomial, int] = {}
         for mono, coef in self.terms.items():
-            mono = _check_entries(mono)
+            mono = check_entries(mono)
             c = int(coef) % 2 if self.ring == "Z2" else int(coef)
             if c:
                 clean[mono] = c
@@ -138,7 +147,7 @@ class ExtElement:
         return not self.terms
 
     def coefficient(self, mono) -> int:
-        return self.terms.get(_check_entries(mono), 0)
+        return self.terms.get(check_entries(mono), 0)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -149,7 +158,7 @@ def ext_unit(ring: str = "Z") -> ExtElement:
 
 
 def ext_monomial(m, coef: int = 1, ring: str = "Z") -> ExtElement:
-    return ExtElement({_check_entries(m): coef}, ring)
+    return ExtElement({check_entries(m): coef}, ring)
 
 
 def _merge_sign(a: Monomial, b: Monomial) -> tuple[Monomial, int]:
@@ -201,7 +210,7 @@ class TensorElement:
     def __post_init__(self) -> None:
         clean = {}
         for (a, b), c in self.terms.items():
-            key = (_check_entries(a), _check_entries(b))
+            key = (check_entries(a), check_entries(b))
             if int(c):
                 clean[key] = int(c)
         object.__setattr__(self, "terms", clean)
@@ -248,7 +257,7 @@ def kronecker_dual(m, klass: str = "general", assume_conjecture: bool = False) -
     ``assume_conjecture`` is set (then the unsigned monomial is returned,
     over Z/2Z in the symmetric case).
     """
-    t = _check_entries(m)
+    t = check_entries(m)
     if klass == "general":
         return ext_monomial(t, (-1) ** beta(t), "Z")
     if klass in ("symmetric", "skew"):
@@ -265,7 +274,7 @@ def coproduct(m) -> TensorElement:
     """Hopf coproduct of the dual class of m:
     sum over ordered disjoint splittings (m', m'') of m of
     ``(-1)^(l(m') l(m'')) epsilon_(m', m'') e_(m') x e_(m'')``."""
-    t = _check_entries(m)
+    t = check_entries(m)
     terms: dict[tuple[Monomial, Monomial], int] = {}
     for r in range(0, len(t) + 1):
         for left in itertools.combinations(t, r):
@@ -279,7 +288,7 @@ def coproduct_via_primitives(m) -> dict[tuple[Monomial, Monomial], int]:
     splitting formula: expand ``(-1)^beta(m) prod_j coproduct((m_j))`` with
     the Koszul sign rule and convert each monomial tensor factor back to
     the dual basis (``prod_(j in m') e_(j) = (-1)^beta(m') e_(m')``)."""
-    t = _check_entries(m)
+    t = check_entries(m)
     prod = TensorElement({((), ()): 1})
     for entry in t:
         prod = tensor_mul(prod, coproduct((entry,)))
@@ -290,7 +299,7 @@ def coproduct_via_primitives(m) -> dict[tuple[Monomial, Monomial], int]:
 def homology_product(m, mp):
     """Pontryagin product of Schubert classes: ``epsilon * merged`` for
     disjoint symbols, None (the zero class) when they overlap."""
-    merged, sign = _merge_sign(_check_entries(m), _check_entries(mp))
+    merged, sign = _merge_sign(check_entries(m), check_entries(mp))
     return (sign, merged) if sign else None
 
 
@@ -301,7 +310,7 @@ def full_symbol(n: int) -> Monomial:
 
 
 def complement_symbol(m, n: int) -> Monomial:
-    t = _check_entries(m)
+    t = check_entries(m)
     full = set(full_symbol(n))
     if not set(t) <= full:
         raise InvalidSymbol(f"{t} is not contained in (2..{n})")
@@ -312,7 +321,7 @@ def poincare_dual(m, n: int) -> ExtElement:
     """Poincare dual of the Schubert class of m in ambient n:
     ``(-1)^(beta(n-full) + beta(m)) epsilon_(m, m')`` times the monomial on
     the ordered complement m' of m in (2..n)."""
-    t = _check_entries(m)
+    t = check_entries(m)
     comp = complement_symbol(t, n)
     nn = full_symbol(n)
     sign = (-1) ** (beta(nn) + beta(t)) * epsilon(t, comp)
@@ -326,7 +335,7 @@ def intersection_pairing(m, mp, n: int) -> int:
     m' is the ordered complement of m, where it equals
     ``(-1)^(beta(n) + beta(m) + beta(m')) epsilon_(m, m')``.
     """
-    a, b = _check_entries(m), _check_entries(mp)
+    a, b = check_entries(m), check_entries(mp)
     if len(a) + len(b) != n - 1:
         raise PreconditionViolated(
             f"lengths {len(a)} + {len(b)} != {n - 1}; the pairing needs complementary degrees"
@@ -340,7 +349,7 @@ def intersection_pairing(m, mp, n: int) -> int:
 def intersection_pairing_via_cup(m, mp, n: int) -> int:
     """The same pairing through the dual route: cup the Kronecker duals and
     read off the coefficient against the top-class orientation."""
-    a, b = _check_entries(m), _check_entries(mp)
+    a, b = check_entries(m), check_entries(mp)
     if len(a) + len(b) != n - 1:
         raise PreconditionViolated("the pairing needs complementary degrees")
     prod = ext_mul(kronecker_dual(a), kronecker_dual(b))
@@ -379,8 +388,7 @@ def expand_product(degrees) -> dict[int, int]:
 def generator_degrees(n: int, klass: str = "general") -> list[int]:
     """Degrees of the exterior generators for ambient n: 3,5,..,2n-1 /
     2,3,..,n / 5,9,..,4n-3 by class."""
-    if klass not in CLASSES:
-        raise UnsupportedClass(f"unknown class {klass!r}")
+    check_class(klass)
     return [generator_degree(m, klass) for m in range(2, n + 1)]
 
 

@@ -65,8 +65,8 @@ class UnsupportedCoefficients(SchubertError):
     """Coefficient ring not supported for this class."""
 
 
-class UnsupportedClass(SchubertError):
-    """Matrix class not supported by this operation."""
+class UnsupportedClass(SchubertError, ValueError):
+    """Matrix class not supported by this operation, or not a class at all."""
 
 
 class NotDisjoint(SchubertError):

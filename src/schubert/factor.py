@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -57,7 +58,6 @@ from .rotor import (
     PseudoRotation,
     apply,  # noqa: F401  (a lookup point of perfbench/tracer.py)
     canonical_axis,
-    check_class,
     jmul,
     min_index,
     min_indices,
@@ -69,17 +69,17 @@ from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
 
 
 def validate_symbol_entries(entries: Sequence[int], ambient: int, klass: str) -> tuple[int, ...]:
-    check_class(klass)
+    cohom.check_class(klass)
+    try:
+        ambient = operator.index(ambient)
+    except TypeError:
+        raise InvalidSymbol(f"ambient dimension must be an integer, got {ambient!r}") from None
     if ambient < (2 if klass == "skew" else 1):
         raise InvalidSymbol(f"ambient dimension {ambient} is too small for the {klass} class")
-    out = tuple(int(m) for m in entries)
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise InvalidSymbol(f"entries must strictly increase, got {out}")
-    if out and out[0] < 2:
-        raise InvalidSymbol(f"entries must exceed 1, got {out}")
-    top = ambient if klass in ("general", "symmetric") else ambient // 2
     if klass == "skew" and ambient % 2 != 0:
         raise InvalidSymbol("skew symbols need an even ambient dimension")
+    out = cohom.check_entries(entries)
+    top = ambient // 2 if klass == "skew" else ambient
     if out and out[-1] > top:
         raise InvalidSymbol(f"entry {out[-1]} exceeds the bound {top}")
     return out
@@ -581,7 +581,7 @@ def cartan_model_sample(n: int, klass: str, seed=0) -> np.ndarray:
     """Seeded element of the compact Cartan model: a Haar special unitary,
     or its Cartan conjugate of the identity (``U U^T`` respectively
     ``U J U^T J^-1``)."""
-    check_class(klass)
+    cohom.check_class(klass)
     u = haar_sample(n, "special_unitary", seed)
     if klass == "general":
         return u

@@ -16,18 +16,22 @@ sigma(X) = F conj(X) F^-1, in three tiers:
 * congruence fallback: the form is normalized (C^T B C = F), C^-1 = A . E
   Iwasawa-split and the model point A^T F A factorized.
 
-Only the adapted eigenbasis, the real projection of the symmetric witness,
-the skew check of the compact part, the normalizer and the engine differ.
+Whether a point is in the compact model is decided once, by the engine's
+model gate (``rotor.model_element``).  An undressing whose compact part the
+gate refuses goes to the congruence fallback, and that result is flagged
+boundary-ambiguous.  Only the adapted eigenbasis, the real projection of
+the symmetric witness, the normalizer and the engine differ by class.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import cohom
-from .errors import OddDimension, PreconditionViolated
+from .errors import NotInModel, OddDimension, PreconditionViolated
 from .factor import (
     OrderedFactorization,
     SchubertSymbol,
@@ -46,14 +50,13 @@ from .numlin import (
     is_unitary,  # noqa: F401  (a lookup point of perfbench/tracer.py)
     iwasawa_split,
     jn,
-    near_one,
     normalize_skew_form,
     quaternionic_solvable_sample,
     real_solvable_sample,
     solvable_sample,
     validated,
 )
-from .rotor import check_class, jmul, sigma
+from .rotor import jmul, sigma
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -190,7 +193,10 @@ def _undress(b, klass: str, tol: ToleranceConfig):
     unitary matrix.  An adapted basis of each of its eigen-clusters (real,
     respectively j-paired), the Cholesky factor of ``(V V*)^-1`` and
     per-cluster quarter-root scales recover E; the symmetric witness is
-    projected to its real part.
+    projected to its real part.  Only the reconstruction ``E^T C E = B`` is
+    checked here: whether the compact part C lies in the Cartan model is
+    decided by the engine's model gate (``rotor.model_element``), and
+    det E = 1 follows from det B = det C = 1 and the positive diagonal of E.
     """
     b = as_square_matrix(b)
     n = b.shape[0]
@@ -216,48 +222,53 @@ def _undress(b, klass: str, tol: ToleranceConfig):
     except (np.linalg.LinAlgError, OddDimension):  # sigma refuses an odd skew input
         return None
     scale = max(1.0, float(np.linalg.norm(b)))
-    ok = (
-        np.linalg.norm(compact @ compact.conj().T - np.eye(n)) <= tol.structure * n
-        and (not skew or np.linalg.norm(compact + compact.T) <= tol.structure * n)
-        and near_one(np.linalg.det(e), tol)
-        and np.linalg.norm(e.T @ compact @ e - b) <= tol.structure * scale
-    )
-    return (compact, e) if ok else None
+    return (compact, e) if np.linalg.norm(e.T @ compact @ e - b) <= tol.structure * scale else None
 
 
 def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
-    """(compact, real-solvable witness) of a dressed symmetric fiber point, or None."""
+    """(compact, real-solvable witness) of a dressed symmetric fiber point, or
+    None; the engine's model gate decides whether the compact part is in the
+    Cartan model."""
     return _undress(b, "symmetric", tol)
 
 
 def undress_skew(b, tol: ToleranceConfig = DEFAULT_TOL):
-    """(compact, quaternionic-solvable witness) of a dressed skew fiber point, or None."""
+    """(compact, quaternionic-solvable witness) of a dressed skew fiber point,
+    or None; the engine's model gate decides whether the compact part is in
+    the Cartan model."""
     return _undress(b, "skew", tol)
 
 
 def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentification:
     """Schubert cell of a symmetric or skew fiber element, with class form
-    F = I, respectively J: the input itself if compact, else its undressing,
-    else the congruence fallback (C^T B C = F, C^-1 = A . E Iwasawa-split,
-    compact part A^T F A).  B = E^T compact E within tolerance in every tier.
-    Each tier's function is looked up as a module attribute at call time.
+    F = I, respectively J: the input itself if compact, else its undressing
+    if the engine's model gate takes it, else the congruence fallback
+    (C^T B C = F, C^-1 = A . E Iwasawa-split, compact part A^T F A), whose
+    result is flagged when an undressing was found.  B = E^T compact E
+    within tolerance in every tier.  Each tier's function is looked up as a
+    module attribute at call time.
     """
     elem = b if validated(b, klass) else FiberElement(b, klass, tol)
     mat = elem.matrix
     n = mat.shape[0]
     skew = klass == "skew"
+
+    def peel(compact, e):
+        fact = (factorize_skew(compact @ (-jn(n // 2)), tol) if skew  # J^-1 = -J
+                else factorize_symmetric(elem if elem.unitary else compact, tol))
+        return CellIdentification.of(fact, compact, e, mat, tol)
+
     if elem.unitary:
-        compact, e = mat, np.eye(n, dtype=np.complex128)
-    elif (found := (undress_skew if skew else undress_symmetric)(mat, tol)) is not None:
-        compact, e = found
-    else:
-        c = (normalize_skew_form if skew else diagonalize_quadratic_form)(elem, tol)
-        parts = iwasawa_split(np.linalg.inv(c), tol)
-        u = parts.unitary
-        compact, e = (u.T @ jn(n // 2) @ u if skew else u.T @ u), parts.solvable
-    fact = (factorize_skew(compact @ (-jn(n // 2)), tol) if skew  # J^-1 = -J
-            else factorize_symmetric(elem if elem.unitary else compact, tol))
-    return CellIdentification.of(fact, compact, e, mat, tol)
+        return peel(mat, np.eye(n, dtype=np.complex128))
+    found = (undress_skew if skew else undress_symmetric)(mat, tol)
+    if found is not None:
+        with suppress(NotInModel):  # unless the engine's model gate refuses it
+            return peel(*found)
+    c = (normalize_skew_form if skew else diagonalize_quadratic_form)(elem, tol)
+    parts = iwasawa_split(np.linalg.inv(c), tol)
+    u = parts.unitary
+    cid = peel(u.T @ jn(n // 2) @ u if skew else u.T @ u, parts.solvable)
+    return cid if found is None else replace(cid, boundary_ambiguous=True)
 
 
 def identify_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
@@ -271,7 +282,7 @@ def identify_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
 
 
 def identify(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
-    check_class(klass)
+    cohom.check_class(klass)
     if klass == "general":
         return identify_general(b, tol)
     return _identify_congruence(b, klass, tol)
@@ -356,7 +367,7 @@ def dressing_sample(n: int, klass: str, seed=0) -> np.ndarray:
     the full complex Sol_n for the general class (acting on the right), the
     real solvable group for the symmetric class and the quaternionic
     solvable group for the skew class (both acting by congruence)."""
-    check_class(klass)
+    cohom.check_class(klass)
     if klass == "general":
         return solvable_sample(n, seed)
     if klass == "symmetric":

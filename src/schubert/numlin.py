@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cohom import check_class
 from .errors import (
     DimensionMismatch,
     ConvergenceFailure,
@@ -35,17 +36,8 @@ from .errors import (
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-#: the three matrix classes; the tag fixes the Cartan involution sigma
-CLASSES = ("general", "symmetric", "skew")
-
 #: classes accepted by :func:`haar_sample`
 SAMPLE_CLASSES = ("special_unitary", "sl", "sym_fiber", "skew_fiber")
-
-
-def check_class(klass: str) -> str:
-    if klass not in CLASSES:
-        raise ValueError(f"unknown matrix class {klass!r}")
-    return klass
 
 
 def as_square_matrix(b) -> np.ndarray:
@@ -449,9 +441,7 @@ def quaternionic_solvable_sample(n: int, seed=0) -> np.ndarray:
     return e
 
 
-def haar_sample(
-    n: int, klass: str, seed=0, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def haar_sample(n: int, klass: str, seed=0) -> np.ndarray:
     """Seeded random matrix in one of the four supported classes.
 
     special_unitary  Haar-distributed U in SU_n (QR of a complex Gaussian with

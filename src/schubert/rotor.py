@@ -25,8 +25,9 @@ from .errors import (
     PreconditionViolated,
     ZeroVector,
 )
-from .numlin import (FiberElement, as_square_matrix, check_class, check_unitary, hermitian_inner,
-                     is_unitary, jn, validated)
+from .cohom import check_class
+from .numlin import (FiberElement, as_square_matrix, check_unitary, hermitian_inner, is_unitary, jn,
+                     validated)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 TAU = 2.0 * math.pi
@@ -246,13 +247,11 @@ def whitehead_interchange(
     return PseudoRotation(theta1, f2), second, "case2"
 
 
-def jmul(x, n_half: Optional[int] = None) -> np.ndarray:
+def jmul(x) -> np.ndarray:
     """Quaternionic multiplication ``j x = J conj(x)`` on C^(2n)."""
     xv = np.asarray(x, dtype=np.complex128)
     if xv.ndim != 1 or len(xv) % 2 != 0:
         raise OddDimension("jmul needs a vector of even length")
-    if n_half is not None and len(xv) != 2 * n_half:
-        raise DimensionMismatch("vector length does not match 2n")
     out = np.empty_like(xv)
     conj = np.conj(xv)
     out[0::2] = conj[1::2]

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cohom import check_class
 from .errors import DimensionMismatch, SchubertError
-from .numlin import CLASSES
+from .numlin import as_square_matrix
 
 
 def fmt17(x: float) -> str:
@@ -48,13 +49,11 @@ def matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def rows_to_matrix(rows) -> np.ndarray:
+    """The matrix of [re, im] rows; its shape is checked by :class:`MatrixDocument`."""
     try:
-        arr = np.array([[complex(float(p[0]), float(p[1])) for p in row] for row in rows])
+        return np.array([[complex(float(p[0]), float(p[1])) for p in row] for row in rows])
     except (TypeError, ValueError, IndexError) as exc:
         raise DimensionMismatch(f"malformed rows field: {exc}") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch("rows must form a square matrix")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,10 @@ class MatrixDocument:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.klass not in CLASSES:
-            raise SchubertError(f"unknown class {self.klass!r}")
-        m = rows_to_matrix(matrix_to_rows(self.rows))
+        check_class(self.klass)
+        m = as_square_matrix(self.rows)
         if m.shape != (self.n, self.n):
             raise DimensionMismatch(f"rows shape {m.shape} does not match n = {self.n}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise DimensionMismatch("matrix entries must be finite")
         object.__setattr__(self, "rows", m)
 
     def to_json(self) -> str:
@@ -87,7 +83,7 @@ class MatrixDocument:
             raise SchubertError(f"not valid JSON: {exc}") from None
         if not isinstance(raw, dict) or set(raw) != {"n", "class", "rows"}:
             raise SchubertError("matrix document needs exactly the fields n, class, rows")
-        return cls(n=int(raw["n"]), klass=str(raw["class"]), rows=rows_to_matrix(raw["rows"]))
+        return cls(n=raw["n"], klass=raw["class"], rows=rows_to_matrix(raw["rows"]))
 
     def digest(self) -> str:
         return "sha256:" + hashlib.sha256(self.to_json().encode()).hexdigest()

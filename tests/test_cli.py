@@ -37,6 +37,9 @@ class TestSerialization:
 
         with pytest.raises(SchubertError):
             MatrixDocument.from_json('{"n": 2, "rows": []}')
+        rows = [[[1.0, 0.0]] * 3] * 3
+        with pytest.raises(SchubertError):  # n is not truncated to 3
+            MatrixDocument.from_json(json.dumps({"n": 3.7, "class": "general", "rows": rows}))
 
     def test_canonical_dump_is_deterministic(self):
         payload = {"b": [1.5, 2], "a": None, "flag": True}

@@ -51,6 +51,9 @@ class TestSchubertSymbol:
             SchubertSymbol((4,), 3)
         with pytest.raises(InvalidSymbol):
             SchubertSymbol((3,), 4, "skew")  # bound is ambient/2
+        for entries, ambient in (((2.7, 3), 4), (("2", 3), 4), ((2,), 4.5)):
+            with pytest.raises(InvalidSymbol):  # not truncated to integers
+                SchubertSymbol(entries, ambient)
 
     def test_ambient_too_small(self):
         SchubertSymbol((), 1)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from schubert import numlin
-from schubert.errors import ConvergenceFailure, NotInFiber, NotInModel, PreconditionViolated
+from schubert.errors import ConvergenceFailure, NotInFiber, PreconditionViolated
 from schubert.factor import SchubertSymbol
 from schubert.milnor import (
     FiberElement,
@@ -134,29 +134,52 @@ class TestIdentifySkew:
         assert undress_skew(numlin.haar_sample(5, "sym_fiber", rng)) is None
 
 
-class TestOpenTransportDefects:
-    """Dressed skew inputs on which transport still breaks the boundary
-    contract: the planted symbol, a boundary flag or a ConvergenceFailure.
-    They are pinned as strict expected failures, so mending either turns
-    its case into an unexpected pass."""
+class TestTransportContract:
+    """Dressed inputs on which transport broke the boundary contract (the
+    planted symbol, a boundary flag or a ConvergenceFailure): an undressing
+    refused by the engine's model gate exited 2 (NotInModel), and one
+    refused by the undressing's own model checks fell back to the congruence
+    normalization and returned the top cell unflagged."""
 
     @staticmethod
-    def _contract(b, entries):
+    def _contract(b, entries, klass="skew"):
         try:
-            cid = identify(b, "skew")
+            cid = identify(b, klass)
         except ConvergenceFailure:
             return
         assert cid.boundary_ambiguous or cid.symbol.entries == entries
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="undress_skew misses and the congruence fallback returns the top cell")
     def test_dressed_n24_is_not_the_top_cell(self):
         self._contract(fiber_sample(SchubertSymbol((2, 5, 9), 24, "skew"), 1, dress=True), (2, 5, 9))
 
-    @pytest.mark.xfail(strict=True, raises=NotInModel,
-                       reason="the undressed compact part fails factorize_skew's model gate")
     def test_dressed_pushed_pivot_is_not_rejected(self):
         self._contract(pushed_cell((2,), 8, 1585177474, {0: 5.8e-7}, "skew", dress=True), (2,))
+
+    @pytest.mark.parametrize("entries,n,klass,seed", [
+        ((17, 19), 24, "symmetric", 1271155512),
+        ((5, 7, 17), 20, "symmetric", 1688551142),
+        (tuple(range(2, 10)), 20, "skew", 474416329),
+        (tuple(range(2, 8)), 16, "skew", 640811746),
+    ])
+    def test_dressed_planted_point(self, entries, n, klass, seed):
+        self._contract(fiber_sample(SchubertSymbol(entries, n, klass), seed, dress=True), entries, klass)
+
+
+class TestUnknownClass:
+    """One class check: an unknown tag raises UnsupportedClass, a ValueError."""
+
+    def test_every_entry_point(self):
+        from schubert import cohom
+        from schubert.errors import UnsupportedClass
+        from schubert.serialize import MatrixDocument
+
+        for call in (lambda: identify(np.eye(2), "bogus"),
+                     lambda: SchubertSymbol((), 2, "bogus"),
+                     lambda: cohom.cell_dim((2,), "bogus"),
+                     lambda: MatrixDocument(n=2, klass="bogus", rows=np.eye(2))):
+            with pytest.raises(UnsupportedClass) as info:
+                call()
+            assert isinstance(info.value, ValueError)
 
 
 class TestSolInvariance:
