@@ -69,6 +69,7 @@ class MatrixDocument:
         m = as_square_matrix(self.rows)
         if m.shape != (self.n, self.n):
             raise DimensionMismatch(f"rows shape {m.shape} does not match n = {self.n}")
+        object.__setattr__(self, "n", len(m))  # an equal n such as 3.0 or true is kept as an int
         object.__setattr__(self, "rows", m)
 
     def to_json(self) -> str:

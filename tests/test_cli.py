@@ -26,6 +26,9 @@ class TestSerialization:
         back = MatrixDocument.from_json(doc.to_json())
         assert (back.rows == doc.rows).all()
         assert back.to_json() == doc.to_json()
+        for n in ("1.0", "true"):  # an n equal to the size is stored as that int
+            doc = MatrixDocument.from_json(f'{{"n": {n}, "class": "general", "rows": [[[1, 0]]]}}')
+            assert doc.to_json().startswith('{"n":1,')
 
     def test_digest_stable(self, rng):
         mat = numlin.haar_sample(3, "sl", rng)
