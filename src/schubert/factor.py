@@ -188,8 +188,8 @@ def _peel_rows(
 
     Returns the angles and canonical axes of the factors, stacked in
     product order, with their min-indices; the correction angle left at
-    ``w[0, 0]``; and whether a pivot coordinate or the correction angle
-    landed in its gray zone.  Rows below j that a factor moves and no later
+    ``w[0, 0]``; and whether a row deviation, a pivot coordinate or the
+    correction angle landed in its gray zone.  Rows below j that a factor moves and no later
     factor touches are multiples of the same axis; the angle is fitted over
     all of them, which keeps it well conditioned when the pivot of row j is
     small but the line has weight in those rows.  Each axis is snapped
@@ -205,6 +205,7 @@ def _peel_rows(
         dev = -np.conj(w[j - 1, :j])
         dev[j - 1] += 1.0
         d = _norm(dev)
+        gray = gray or in_gray_zone(d, tol.tol_angle)
         if d < tol.tol_angle:
             continue
         read[j - 1] = True
@@ -277,9 +278,9 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     angle off a small pivot is sensitive to rounding, and its error moves
     the rows read after it, so a row no factor owns can read as a factor.
     ``boundary_ambiguous`` is raised when the peel's min-indices differ from
-    the profile, or when a singular value of the profile, a pivot
-    coordinate or the correction angle lands in the gray zone of its
-    threshold.
+    the profile, or when a singular value of the profile, a row deviation,
+    a pivot coordinate or the correction angle lands in the gray zone of
+    its threshold.
     """
     m = check_unitary(b, tol)  # NotUnitary, then NotInFiber unless b passed det = 1
     b = m if validated(b, "general", "symmetric") else FiberElement(m, "general", tol).matrix

@@ -127,6 +127,21 @@ class TestBoundaryConditioning:
         f = factorize_su(_pushed_cell(entries, n, seed, tops))
         assert f.boundary_ambiguous or f.symbol().entries == entries
 
+    def test_skipped_row_in_gray_zone_is_flagged(self):
+        # the first factor's angle puts its row deviation just below tol_angle
+        sym = SchubertSymbol((2, 3, 4, 6, 7, 8), 8)
+        params = sample_interior_params(sym, 822036871)
+        params[0] = (3.014496751170129e-09, params[0][1])
+        cid = milnor.identify(schubert_map(sym, params), "general")
+        assert cid.boundary_ambiguous or cid.symbol.entries == sym.entries
+
+    @pytest.mark.parametrize("dress", [False, True])
+    def test_two_lines_pushed_near_1e7(self, dress):
+        b = _pushed_cell((2, 3, 5), 5, 590692229, {1: 1.1680671906639132e-07, 0: 7.465331499783564e-08},
+                         "symmetric", dress=dress)
+        cid = milnor.identify(b, "symmetric")
+        assert cid.boundary_ambiguous or cid.symbol.entries == (2, 3, 5)
+
     def test_interior_cell_n24(self):
         entries = tuple(range(3, 20)) + (22, 23, 24)
         f = factorize_su(cell_sample(SchubertSymbol(entries, 24), seed=207))
@@ -181,6 +196,7 @@ def _per_factor_peel(w, tol):
         dev = -np.conj(w[j - 1, :j])
         dev[j - 1] += 1.0
         d = float(np.linalg.norm(dev))
+        gray = gray or in_gray_zone(d, tol.tol_angle)
         if d < tol.tol_angle:
             continue
         x = dev / d
