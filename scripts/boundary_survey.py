@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Pushed-line survey of the boundary contract.
 
-For each class, compact and dressed, planted cells at n = 4..8 get the last
-chart coordinate of one or two of their lines set log-uniformly in
-[--lo, --hi], which pushes the point toward a cell boundary.  All draws
+For each class, compact and dressed, planted cells at n = 4..8 are pushed
+toward a cell boundary.  With ``--push line`` (the default) the last chart
+coordinate of one or two of their lines is set log-uniformly in [--lo,
+--hi], by default [1.5e-6, 1e-1]; with ``--push angle`` the angle
+parameter t of one factor is, by default in [1e-9, 1e-1].  All draws
 come from one generator with the fixed seed 17, so the options alone fix
 the inputs and the table.  The products
 are multiplied out from plain pseudo-rotations I - (1 - e^(i theta)) x x*,
@@ -21,6 +23,7 @@ last two columns are listed after the table, as ``pushed_cell`` calls.
 Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/boundary_survey.py --probes 100
+    PYTHONPATH=src python3 scripts/boundary_survey.py --probes 100 --push angle
 """
 import argparse
 import functools
@@ -34,9 +37,10 @@ from schubert.factor import SchubertSymbol, sample_interior_params
 OUTCOMES = ("right", "flagged", "ConvergenceFailure", "exit-2", "wrong")
 
 
-def pushed_cell(entries, n, seed, tops, klass="general", dress=False):
+def pushed_cell(entries, n, seed, tops, klass="general", dress=False, angles=None):
     """Planted cell of the class with the last chart coordinate of line i
-    set to ``tops[i]``, multiplied out with plain matrices so that no
+    set to ``tops[i]`` and the angle parameter of factor i set to
+    ``angles[i]``, multiplied out with plain matrices so that no
     coordinate is snapped.  A skew cell is returned as a fiber point (its
     model element times J); ``dress`` moves the point within its cell by a
     seeded element of the class's solvable group."""
@@ -50,6 +54,8 @@ def pushed_cell(entries, n, seed, tops, klass="general", dress=False):
         v = v.copy()
         v[-1] = top
         params[i] = (t, v / np.linalg.norm(v))
+    for i, t in (angles or {}).items():
+        params[i] = (t, params[i][1])
     scale = np.pi if klass == "symmetric" else 2 * np.pi
     rots = [(-scale * sum(t for t, _ in params), np.eye(n, dtype=np.complex128)[0])]
     rots += [(scale * t, np.concatenate([v, np.zeros(n - len(v))])) for t, v in params]
@@ -82,12 +88,15 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--probes", type=int, default=100, help="points per class and dressing")
-    ap.add_argument("--lo", type=float, default=1.5e-6, help="smallest pushed coordinate")
-    ap.add_argument("--hi", type=float, default=1e-1, help="largest pushed coordinate")
+    ap.add_argument("--push", choices=("line", "angle"), default="line",
+                    help="push a line's last coordinate or a factor's angle")
+    ap.add_argument("--lo", type=float, help="smallest pushed value (1.5e-6 for lines, 1e-9 for angles)")
+    ap.add_argument("--hi", type=float, default=1e-1, help="largest pushed value")
     args = ap.parse_args()
 
     rng = np.random.default_rng(17)
-    log_lo, log_hi = np.log10(args.lo), np.log10(args.hi)
+    lo = args.lo if args.lo is not None else 1.5e-6 if args.push == "line" else 1e-9
+    log_lo, log_hi = np.log10(lo), np.log10(args.hi)
     print(f"{'':18s}" + "".join(f"{name:>{len(name) + 2}s}" for name in OUTCOMES))
     bad = []
     for klass in ("general", "symmetric", "skew"):
@@ -99,18 +108,22 @@ def main() -> None:
                 size = int(rng.integers(1, half))
                 lines = rng.choice(np.arange(2, half + 1), size, replace=False)
                 entries = tuple(sorted(int(m) for m in lines))
-                pushed = rng.choice(size, int(rng.integers(1, min(2, size) + 1)), replace=False)
-                tops = {int(i): float(10 ** rng.uniform(log_lo, log_hi)) for i in pushed}
+                if args.push == "line":
+                    pushed = rng.choice(size, int(rng.integers(1, min(2, size) + 1)), replace=False)
+                    tops, angles = {int(i): float(10 ** rng.uniform(log_lo, log_hi)) for i in pushed}, {}
+                else:
+                    tops, angles = {}, {int(rng.integers(size)): float(10 ** rng.uniform(log_lo, log_hi))}
                 seed = int(rng.integers(2**31))
-                got = outcome(pushed_cell(entries, n, seed, tops, klass, dress), klass, entries)
+                got = outcome(pushed_cell(entries, n, seed, tops, klass, dress, angles), klass, entries)
                 counts[got] += 1
                 if got in ("exit-2", "wrong"):
-                    bad.append((got, klass, entries, n, seed, tops, dress))
+                    bad.append((got, klass, entries, n, seed, tops, dress, angles))
             label = f"{klass} {'dressed' if dress else 'compact'}"
             cells = "".join(f"{counts[name]:>{len(name) + 2}d}" for name in OUTCOMES)
             print(f"{label:18s}{cells}", flush=True)
-    for got, klass, entries, n, seed, tops, dress in bad:
-        print(f"{got}: pushed_cell({entries}, {n}, {seed}, {tops}, {klass!r}, dress={dress})")
+    for got, klass, entries, n, seed, tops, dress, angles in bad:
+        tail = f", angles={angles}" if angles else ""
+        print(f"{got}: pushed_cell({entries}, {n}, {seed}, {tops}, {klass!r}, dress={dress}{tail})")
 
 
 if __name__ == "__main__":

@@ -222,6 +222,8 @@ def _peel_rows(
                 break
             num += x[r - 1] * cr
             den += abs(x[r - 1]) ** 2
+        if not den:
+            raise ConvergenceFailure(f"row {j} deviates by {d:.3g} off its zero pivot")
         thetas[j - 1] = -cmath.phase(1.0 - num / den)
         x *= np.abs(x) > tol.axis_snap  # x is a unit vector
         x /= _norm(x)

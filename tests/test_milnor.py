@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from schubert import numlin
 from schubert.errors import ConvergenceFailure, NotInFiber, PreconditionViolated
-from schubert.factor import SchubertSymbol
+from schubert.factor import SchubertSymbol, sample_interior_params, schubert_map_sk
 from schubert.milnor import (
     FiberElement,
     closure_product_check,
@@ -163,6 +163,17 @@ class TestTransportContract:
     ])
     def test_dressed_planted_point(self, entries, n, klass, seed):
         self._contract(fiber_sample(SchubertSymbol(entries, n, klass), seed, dress=True), entries, klass)
+
+    @pytest.mark.xfail(strict=True, reason="the undressed compact part passes the model gate but is not "
+                                           "accurate enough to resolve the small pushed angle")
+    def test_dressed_skew_small_angle(self):
+        sym = SchubertSymbol((3, 4), 8, "skew")
+        params = sample_interior_params(sym, 2044913451)
+        params[0] = (2.1178419517859664e-07, params[0][1])
+        compact = schubert_map_sk(sym, params) @ numlin.jn(4)
+        self._contract(compact, (3, 4))  # the compact point comes back right
+        e = dressing_sample(8, "skew", 2044913452)
+        self._contract(e.T @ compact @ e, (3, 4))
 
 
 class TestUnknownClass:
