@@ -16,8 +16,9 @@ boundary-ambiguous.  The symmetric and skew-symmetric Cartan models carry
 analogous unique factorizations, which one Cartan peel reads off the
 decreasing general factorization by iterated Cartan conjugation: one
 half-angle real-axis factor per step for the symmetric class, one
-quaternionic pair ``(A, sigma(A*))`` per step for the skew class.  Order
-reversal conjugates each axis by the running product of the factors
+quaternionic pair ``(A, sigma(A*))`` per step for the skew class, each
+axis read once and all canonicalised in one call when the peel ends.
+Order reversal conjugates each axis by the running product of the factors
 already passed.
 
 The ``schubert_map*`` functions are the forward cell parametrizations;
@@ -383,27 +384,6 @@ def symbol_invariance_check(b, tol: ToleranceConfig = DEFAULT_TOL) -> Invariance
     )
 
 
-def _real_axis(x: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Strip the global phase (relative to the largest coordinate) and check
-    the axis is real; returns the canonical axis of the real part."""
-    i = int(np.argmax(np.abs(x)))
-    y = x * (np.conj(x[i]) / abs(x[i]))
-    if float(np.linalg.norm(y.imag)) > tol.tol_residual * 100:
-        raise RealAxisExtractionFailure(
-            f"imaginary residual {np.linalg.norm(y.imag):.3g} on a symmetric-model axis"
-        )
-    return canonical_axis(y.real, tol)
-
-
-def _conjugate_rest(axes: np.ndarray, start: int, c: PseudoRotation, tol: ToleranceConfig) -> None:
-    """Conjugate the stacked axes in rows ``start:`` by ``c^-1`` in place:
-    one rank-1 update of all of them, then one canonicalisation."""
-    rest = axes[start:]
-    if len(rest):
-        rest -= ((rest @ c.axis.conj()) * (1.0 - np.exp(-1j * c.theta)))[:, None] * c.axis
-        axes[start:] = canonical_axis(rest, tol)
-
-
 def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -> float:
     """``||A_(theta_x, x) - A_(theta_y, y)||_F`` for unit x, y in O(n): the two
     rank-1 terms restricted to span(x, y), where y = c x + s e, e a unit vector."""
@@ -422,39 +402,55 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     class peels one quaternionic pair at a time: the factor count is even,
     the lowest min-index odd, its partner one higher and equal to
     ``sigma(A_1*)``, which is recomputed rather than trusted from the
-    factorization, and C = A_1.  Each C conjugates all remaining axes by
-    ``C^-1`` at once, one rank-1 update of their stacked rows costing
-    O(k n).
+    factorization, and C = A_1.  Each stacked axis is read once, off the
+    row the earlier C have conjugated (a symmetric one as the real part
+    left by stripping the phase of its largest coordinate), snapped, and
+    conjugates the rows not yet read by ``C^-1`` with one rank-1 update.
+    The gates are checked when the peel ends, on one canonical stack.
     """
     elem = model_element(b, klass, tol)
     b = elem.matrix
+    n = b.shape[0]
     step = 2 if klass == "skew" else 1
     dec = factorize_decreasing(elem, tol)
     work = dec.factors[::-1]
-    axes = np.array([f.axis for f in work]).reshape(len(work), b.shape[0])
     if len(work) % step != 0:
         raise StructureViolation(f"odd factor count {len(work)}")
-    halves: list[PseudoRotation] = []
+    thetas = np.array([f.theta for f in work]) / (2.0 if klass == "symmetric" else 1.0)
+    axes = np.array([f.axis for f in work], dtype=np.complex128).reshape(len(work), n)
+    imag = np.zeros(len(work))
     for i in range(0, len(work), step):
+        x = axes[i]
         if klass == "symmetric":
-            c = PseudoRotation.of_canonical(work[i].theta / 2.0, _real_axis(axes[i], tol))
-        else:
-            c = PseudoRotation.of_canonical(work[i].theta, axes[i])
-            m1, m2 = min_indices(axes[i : i + 2], tol).tolist()
+            p = x[np.argmax(np.abs(x))]
+            x = x * (p.conjugate() / abs(p))
+            imag[i] = _norm(x.imag)
+            x = x.real
+        x = x * (np.abs(x) > tol.axis_snap * _norm(x))
+        axes[i] = x = x / _norm(x)
+        rest = axes[i + step :]
+        rest -= ((rest @ x.conj()) * (1.0 - cmath.exp(-1j * thetas[i])))[:, None] * x
+    bad = imag[imag > 100.0 * tol.tol_residual]
+    if len(bad):
+        raise RealAxisExtractionFailure(f"imaginary residual {bad[0]:.3g} on a symmetric-model axis")
+    axes = canonical_axis(axes, tol)
+    if klass == "skew":
+        mins = min_indices(axes, tol).tolist()
+        for i in range(0, len(work), 2):
+            m1, m2 = mins[i], mins[i + 1]
             if m1 % 2 == 0:
                 raise StructureViolation(f"lowest min-index {m1} is even")
             if m2 != m1 + 1:
                 raise StructureViolation(f"pair indices ({m1}, {m2}) are not consecutive")
-            gap = _partner_gap(axes[i + 1], work[i + 1].theta, jmul(c.axis), c.theta)
+            gap = _partner_gap(axes[i + 1], thetas[i + 1], jmul(axes[i]), thetas[i])
             if gap > tol.structure:
                 raise StructureViolation(f"j-partner deviates by {gap:.3g}")
-        halves.append(c)
-        _conjugate_rest(axes, i + step, c, tol)
+    halves = list(map(PseudoRotation.of_canonical, thetas[::step], axes[::step]))
     correction, factors = _split_correction(halves, tol)
-    fact = OrderedFactorization(klass, "increasing", b.shape[0], tuple(factors), correction,
+    fact = OrderedFactorization(klass, "increasing", n, tuple(factors), correction,
                                 boundary_ambiguous=dec.boundary_ambiguous)
     residual = float(np.linalg.norm(fact.matrix() - b))
-    if residual > tol.structure * b.shape[0]:
+    if residual > tol.structure * n:
         raise ConvergenceFailure(f"{klass} reconstruction residual {residual:.3g}")
     return replace(fact, residual=residual)
 

@@ -11,6 +11,7 @@ from schubert.errors import (
     DimensionMismatch,
     InvalidSymbol,
     NotInModel,
+    RealAxisExtractionFailure,
     SchubertError,
     StructureViolation,
     UnsupportedClass,
@@ -368,6 +369,26 @@ class TestStackedPeel:
             factorize_su(numlin.haar_sample(n, "special_unitary", seed))
             assert len(calls) == 1, calls
 
+    @pytest.mark.parametrize("klass", ("symmetric", "skew"))
+    @pytest.mark.parametrize("n", (8, 16, 32))
+    def test_cartan_canonical_axis_calls(self, monkeypatch, klass, n):
+        """A Cartan peel canonicalises twice whatever n: once in the row peel
+        and once for its half factors."""
+        calls = []
+
+        def counted(x, tol=DEFAULT_TOL):
+            calls.append(np.shape(x))
+            return canonical_axis(x, tol)
+
+        canonical_axis = rotor.canonical_axis
+        monkeypatch.setattr(rotor, "canonical_axis", counted)
+        monkeypatch.setattr(factor, "canonical_axis", counted)
+        engine = factorize_symmetric if klass == "symmetric" else factorize_skew
+        for seed in range(2):
+            calls.clear()
+            engine(cartan_model_sample(n, klass, seed))
+            assert len(calls) == 2, calls
+
 
 class TestDecreasingAndReverse:
     def test_identity(self):
@@ -522,6 +543,15 @@ class TestSkewEngine:
             assert abs(factor._partner_gap(x, tx, y, ty) - dense) <= 1e-14
 
 
+def _real_axis(x, tol):
+    """The canonical real axis of the line of x: the phase of the largest
+    coordinate stripped, with the symmetric engine's imaginary gate."""
+    y = x * np.exp(-1j * np.angle(x[np.argmax(np.abs(x))]))
+    if np.linalg.norm(y.imag) > 100 * tol.tol_residual:
+        raise RealAxisExtractionFailure("imaginary residual")
+    return rotor.canonical_axis(y.real, tol)
+
+
 def _per_factor_cartan(m, klass, tol=factor.DEFAULT_TOL):
     """Reference Cartan engine: after each peel, every remaining factor is
     conjugated on its own and rebuilt as a PseudoRotation, with the same
@@ -534,7 +564,7 @@ def _per_factor_cartan(m, klass, tol=factor.DEFAULT_TOL):
     halves = []
     while work:
         if klass == "symmetric":
-            c, rest = PseudoRotation(work[0].theta / 2.0, factor._real_axis(work[0].axis, tol)), work[1:]
+            c, rest = PseudoRotation(work[0].theta / 2.0, _real_axis(work[0].axis, tol)), work[1:]
         else:
             c, a2, rest = work[0], work[1], work[2:]
             m1 = c.min_index(tol)
