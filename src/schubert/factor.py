@@ -190,12 +190,12 @@ def _peel_rows(
     Returns the angles and canonical axes of the factors, stacked in
     product order, with their min-indices; the correction angle left at
     ``w[0, 0]``; and whether a row deviation, a pivot coordinate or the
-    correction angle landed in its gray zone.  Rows below j that a factor moves and no later
-    factor touches are multiples of the same axis; the angle is fitted over
-    all of them, which keeps it well conditioned when the pivot of row j is
-    small but the line has weight in those rows.  Each axis is snapped
-    before its rank-1 update, which touches only the rows not yet read
-    and the columns of the factor's support.
+    correction angle landed in its gray zone.  Rows below j that a factor
+    moves and no later factor touches are multiples of the same axis; the
+    angle is fitted over all of them, which keeps it well conditioned when
+    the pivot of row j is small but the line has weight in those rows.  Each
+    axis is snapped before its rank-1 update, which touches only the rows
+    not yet read and the columns of the factor's support.
     """
     n = w.shape[0]
     w = w.copy()
