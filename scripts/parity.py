@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Parity fingerprint of ``identify`` on the benchmark's planted and generic inputs.
+
+The operations of ``build_planted`` and ``build_generic`` in
+``perfbench/workloads.py`` are built for each seed and run in order.  Each
+prints one line: the workload and group (class, n), then either the symbol,
+the boundary flag and a sha256 of the bytes of the residual, the compact
+part, the witness and every factor (angle and axis), or the type of the
+exception raised.  Two checkouts are in parity when their outputs are
+byte-identical (``cmp``).  The inputs come from each checkout's own
+samplers, so a change to a sampler shows up as a difference too.  The
+benchmark is only read.  Run from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/parity.py --seeds 1 2 3 > parity.txt
+"""
+import argparse
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+from workloads import build_generic, build_planted  # noqa: E402
+
+
+def fingerprint(cid) -> str:
+    """The symbol, the flag and a sha256 of every array the result holds."""
+    h = hashlib.sha256()
+    h.update(np.float64(cid.residual).tobytes())
+    for a in (cid.compact_part, cid.witness):
+        h.update(np.ascontiguousarray(a, dtype=np.complex128).tobytes())
+    for f in cid.factorization.all_factors():
+        h.update(np.float64(f.theta).tobytes())
+        h.update(np.ascontiguousarray(f.axis, dtype=np.complex128).tobytes())
+    return f"{cid.symbol.entries} {cid.boundary_ambiguous} {h.hexdigest()}"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = ap.parse_args()
+    for seed in args.seeds:
+        for name, build in (("planted", build_planted), ("generic", build_generic)):
+            for op in build(seed)[0]:
+                try:
+                    got = fingerprint(op.run())
+                except Exception as exc:  # the type is the fingerprint
+                    got = type(exc).__name__
+                klass, n = op.group
+                print(f"seed {seed} {name} {klass} {n}: {got}")
+
+
+if __name__ == "__main__":
+    main()
