@@ -49,19 +49,15 @@ def check_entries(m) -> Monomial:
     return t
 
 
+# generator degree = scale * m - shift, so a cell dimension, the sum of the
+# generator degrees, is scale * |m| - shift * l(m)
+_DIM_FORM = {"general": (2, 1), "symmetric": (1, 0), "skew": (4, 3)}
+
+
 def generator_degree(m: int, klass: str = "general") -> int:
     """Degree of the generator labelled m: 2m-1 / m / 4m-3 by class."""
-    if klass == "general":
-        return 2 * m - 1
-    if klass == "symmetric":
-        return m
-    if klass == "skew":
-        return 4 * m - 3
-    raise UnsupportedClass(f"unknown class {klass!r}")
-
-
-# cell dimension = scale * |m| - shift * l(m), the sum of the generator degrees
-_DIM_FORM = {"general": (2, 1), "symmetric": (1, 0), "skew": (4, 3)}
+    scale, shift = _DIM_FORM[check_class(klass)]
+    return scale * m - shift
 
 
 def cell_dim(m, klass: str = "general") -> int:
@@ -183,22 +179,25 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     return ExtElement(terms, a.ring)
 
 
-def _term_str(mono: Monomial, coef: int, lead: bool) -> str:
-    body = "1" if not mono else "".join(f"e({m})" for m in mono)
-    mag = abs(coef)
-    coefs = "" if mag == 1 else f"{mag}*"
-    if lead:
-        return ("-" if coef < 0 else "") + coefs + body
-    return (" - " if coef < 0 else " + ") + coefs + body
+def _mono_str(mono: Monomial) -> str:
+    return "1" if not mono else "".join(f"e({m})" for m in mono)
+
+
+def _term_str(body: str, coef: int, lead: bool) -> str:
+    """One signed term: the sign (bare on the lead term), the coefficient
+    unless it is +-1, and the body."""
+    sign = ("-" if coef < 0 else "") if lead else (" - " if coef < 0 else " + ")
+    return sign + ("" if abs(coef) == 1 else f"{abs(coef)}*") + body
+
+
+def _terms_str(terms) -> str:
+    """The (body, coefficient) pairs as a signed sum, or "0"."""
+    return "".join(_term_str(body, c, i == 0) for i, (body, c) in enumerate(terms)) or "0"
 
 
 def format_element(e: ExtElement) -> str:
-    if e.is_zero():
-        return "0"
-    out = []
-    for i, mono in enumerate(sorted(e.terms, key=lambda t: (len(t), t))):
-        out.append(_term_str(mono, e.terms[mono], i == 0))
-    return "".join(out)
+    keys = sorted(e.terms, key=lambda t: (len(t), t))
+    return _terms_str((_mono_str(m), e.terms[m]) for m in keys)
 
 
 @dataclass(frozen=True)
@@ -216,18 +215,8 @@ class TensorElement:
         object.__setattr__(self, "terms", clean)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda k: (len(k[0]), k[0], k[1]))
-        out = []
-        for i, (a, b) in enumerate(keys):
-            c = self.terms[(a, b)]
-            body_a = "1" if not a else "".join(f"e({m})" for m in a)
-            body_b = "1" if not b else "".join(f"e({m})" for m in b)
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
-            out.append(f"{sign}{mag}{body_a}x{body_b}")
-        return "".join(out)
+        return _terms_str((f"{_mono_str(a)}x{_mono_str(b)}", self.terms[(a, b)]) for a, b in keys)
 
 
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -258,16 +247,14 @@ def kronecker_dual(m, klass: str = "general", assume_conjecture: bool = False) -
     over Z/2Z in the symmetric case).
     """
     t = check_entries(m)
-    if klass == "general":
+    if check_class(klass) == "general":
         return ext_monomial(t, (-1) ** beta(t), "Z")
-    if klass in ("symmetric", "skew"):
-        if not assume_conjecture:
-            raise UnsupportedClass(
-                f"the {klass} Kronecker-dual monomial identification is conjectural; "
-                "pass assume_conjecture=True to compute it anyway"
-            )
-        return ext_monomial(t, 1, "Z2" if klass == "symmetric" else "Z")
-    raise UnsupportedClass(f"unknown class {klass!r}")
+    if not assume_conjecture:
+        raise UnsupportedClass(
+            f"the {klass} Kronecker-dual monomial identification is conjectural; "
+            "pass assume_conjecture=True to compute it anyway"
+        )
+    return ext_monomial(t, 1, "Z2" if klass == "symmetric" else "Z")
 
 
 def coproduct(m) -> TensorElement:

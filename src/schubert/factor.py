@@ -52,7 +52,6 @@ from .numlin import (
     check_unitary,
     haar_sample,
     jn,
-    validated,
 )
 from .rotor import (
     TAU,
@@ -285,8 +284,8 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     a pivot coordinate or the correction angle lands in the gray zone of
     its threshold.
     """
-    m = check_unitary(b, tol)  # NotUnitary, then NotInFiber unless b passed det = 1
-    b = m if validated(b, "general", "symmetric") else FiberElement(m, "general", tol).matrix
+    check_unitary(b, tol)  # NotUnitary, then NotInFiber unless b passed det = 1
+    b = FiberElement.of(b, "general", tol).matrix
     n = b.shape[0]
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
@@ -316,8 +315,8 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
     right end of the product.  The residual is that of B^-1, since
     ``||P^-1 - B||_F = ||P - B^-1||_F`` for a unitary product P.
     """
-    m = as_square_matrix(b)
-    inc = factorize_su(b.adjoint() if validated(b, "general", "symmetric") else m.conj().T, tol)
+    check_unitary(b, tol)  # NotUnitary before NotInFiber, as in factorize_su
+    inc = factorize_su(FiberElement.of(b, "general", tol).adjoint(), tol)
     return OrderedFactorization(
         klass="general",
         order="decreasing",

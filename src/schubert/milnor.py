@@ -54,7 +54,6 @@ from .numlin import (
     quaternionic_solvable_sample,
     real_solvable_sample,
     solvable_sample,
-    validated,
 )
 from .rotor import jmul, sigma
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -97,7 +96,7 @@ class CellIdentification:
 def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     """Schubert cell of an element of SL_n: Iwasawa-split B = A . C and
     factorize the special unitary part."""
-    elem = b if validated(b, "general", "symmetric") else FiberElement(b, "general", tol)
+    elem = FiberElement.of(b, "general", tol)
     parts = iwasawa_split(elem, tol)
     fact = factorize_su(parts.unitary, tol)
     return CellIdentification.of(fact, parts.unitary, parts.solvable, elem.matrix, tol)
@@ -248,7 +247,7 @@ def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentificat
     within tolerance in every tier.  Each tier's function is looked up as a
     module attribute at call time.
     """
-    elem = b if validated(b, klass) else FiberElement(b, klass, tol)
+    elem = FiberElement.of(b, klass, tol)
     mat = elem.matrix
     n = mat.shape[0]
     skew = klass == "skew"
@@ -367,12 +366,9 @@ def dressing_sample(n: int, klass: str, seed=0) -> np.ndarray:
     the full complex Sol_n for the general class (acting on the right), the
     real solvable group for the symmetric class and the quaternionic
     solvable group for the skew class (both acting by congruence)."""
-    cohom.check_class(klass)
-    if klass == "general":
-        return solvable_sample(n, seed)
-    if klass == "symmetric":
-        return real_solvable_sample(n, seed)
-    return quaternionic_solvable_sample(n, seed)
+    sample = {"general": solvable_sample, "symmetric": real_solvable_sample,
+              "skew": quaternionic_solvable_sample}[cohom.check_class(klass)]
+    return sample(n, seed)
 
 
 def fiber_sample(symbol: SchubertSymbol, seed=0, dress: bool = False) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Dense complex linear algebra kernels.
 
-Hermitian inner products, fiber membership (:class:`FiberElement` and the
-one det = 1 / Pf = 1 decision, :func:`near_one`), the Iwasawa (unitary *
+Hermitian inner products, fiber membership (:class:`FiberElement`, whose
+``FiberElement.of`` is the one entry that validates an input or passes on
+one already validated, the one form test :func:`is_symmetric` and the one
+det = 1 / Pf = 1 decision :func:`near_one`), the Iwasawa (unitary *
 solvable) splitting of determinant-one matrices, Pfaffians, congruence
 normalization of symmetric and skew-symmetric bilinear forms, and seeded
-random samplers for the matrix classes.  The factorization engines do not
-diagonalize: they read factors off row by row (see :mod:`schubert.factor`).
-``eig_unitary`` remains an exported kernel of the package.
+random samplers for the matrix classes, the solvable groups over C, R and
+H drawn by one body.  The factorization engines do not diagonalize: they
+read factors off row by row (see :mod:`schubert.factor`).  ``eig_unitary``
+remains an exported kernel of the package.
 
 Conventions:
   * the Hermitian form is ``<x, y> = x^T conj(y)`` (column vectors);
@@ -86,6 +89,13 @@ def check_unitary(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     return m
 
 
+def is_symmetric(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, skew: bool = False) -> bool:
+    """The package's one form test: ``||b -+ b^T|| <= tol_residual * max(1,
+    ||b||)``, for a symmetric ``b``, or a skew-symmetric one with ``skew``."""
+    dev = b + b.T if skew else b - b.T
+    return np.linalg.norm(dev) <= tol.tol_residual * max(1.0, float(np.linalg.norm(b)))
+
+
 def near_one(value: complex, tol: ToleranceConfig = DEFAULT_TOL, factor: float = 100.0) -> bool:
     """The package's one det = 1 / Pf = 1 decision: ``|value - 1| <= factor
     * tol_residual``, with the multiple chosen by the call site."""
@@ -106,9 +116,8 @@ class FiberElement:
         check_class(self.klass)
         b = as_square_matrix(self.matrix)
         object.__setattr__(self, "matrix", b)
-        if self.klass == "symmetric":
-            if np.linalg.norm(b - b.T) > self.tol.tol_residual * max(1.0, float(np.linalg.norm(b))):
-                raise NotInFiber("matrix is not symmetric")
+        if self.klass == "symmetric" and not is_symmetric(b, self.tol):
+            raise NotInFiber("matrix is not symmetric")
         if self.klass == "skew":
             try:  # pfaffian checks the dimension and the skew-symmetry
                 name, value = "Pf", pfaffian(b, self.tol)
@@ -124,6 +133,14 @@ class FiberElement:
         """Whether the matrix is unitary (the compact tier), decided once."""
         return is_unitary(self.matrix, self.tol)
 
+    @classmethod
+    def of(cls, b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> "FiberElement":
+        """``b`` itself when it has passed the checks of ``klass`` (a
+        symmetric element has passed the general ones), else ``b`` validated
+        as an element of ``klass``."""
+        passed = (klass, "symmetric") if klass == "general" else (klass,)
+        return b if isinstance(b, cls) and b.klass in passed else cls(b, klass, tol)
+
     def adjoint(self) -> "FiberElement":
         """The conjugate transpose, in the same fiber and tier without new
         checks; a skew adjoint has Pf = (-1)^(n/2) conj(Pf), so not skew."""
@@ -132,11 +149,6 @@ class FiberElement:
         out = object.__new__(FiberElement)
         out.__dict__.update(self.__dict__, matrix=np.ascontiguousarray(self.matrix.conj().T))
         return out
-
-
-def validated(b, *klasses: str) -> bool:
-    """Whether ``b`` is a FiberElement of one of ``klasses``."""
-    return isinstance(b, FiberElement) and b.klass in klasses
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,7 @@ def iwasawa_split(b, tol: ToleranceConfig = DEFAULT_TOL) -> IwasawaParts:
     phase correction that makes the triangular factor's diagonal real and
     positive.  The split is unique, so the QR backend is immaterial.
     """
-    b = (b if validated(b, "general", "symmetric") else FiberElement(b, "general", tol)).matrix
+    b = FiberElement.of(b, "general", tol).matrix
     n = b.shape[0]
     q, r = np.linalg.qr(b)
     diag = np.diag(r).copy()
@@ -238,11 +250,10 @@ def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     n = b.shape[0]
     if n % 2 != 0:
         raise OddDimension("Pfaffian needs an even dimension")
-    scale = max(1.0, float(np.linalg.norm(b)))
-    if np.linalg.norm(b + b.T) > tol.tol_residual * scale:
+    if not is_symmetric(b, tol, skew=True):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    a = b.copy()
-    a = 0.5 * (a - a.T)
+    scale = max(1.0, float(np.linalg.norm(b)))
+    a = 0.5 * (b - b.T)
     pf = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         # pivot: largest entry in row k to the right of the diagonal
@@ -271,11 +282,11 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     principal-branch square roots.  ``det(C) = +-1`` is forced to +1 by a
     column sign flip.
     """
-    checked = validated(b, "symmetric")
+    checked = isinstance(b, FiberElement) and b.klass == "symmetric"
     b = as_square_matrix(b)
     n = b.shape[0]
     scale = max(1.0, float(np.abs(b).max()))
-    if not checked and np.linalg.norm(b - b.T) > tol.tol_residual * max(1.0, np.linalg.norm(b)):
+    if not (checked or is_symmetric(b, tol)):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     a = 0.5 * (b + b.T)
     c = np.eye(n, dtype=np.complex128)
@@ -322,13 +333,13 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     :func:`jn` in place: pivot a maximal entry into each (2i-1, 2i) slot,
     scale the block symmetrically, and clear the remaining couplings.
     """
-    checked = validated(b, "skew")
+    checked = isinstance(b, FiberElement) and b.klass == "skew"
     b = as_square_matrix(b)
     n = b.shape[0]
     if not checked and n % 2 != 0:
         raise OddDimension("skew normalization needs an even dimension")
     scale = max(1.0, float(np.abs(b).max()))
-    if not checked and np.linalg.norm(b + b.T) > tol.tol_residual * max(1.0, np.linalg.norm(b)):
+    if not (checked or is_symmetric(b, tol, skew=True)):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
     a = 0.5 * (b - b.T)
     c = np.eye(n, dtype=np.complex128)
@@ -381,17 +392,42 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def _solvable_sample(n: int, seed, field: str) -> np.ndarray:
+    """Seeded element of the Iwasawa solvable group of SL over ``field``
+    "C", "R" or "H": upper triangular, positive diagonal, det 1.
+
+    The diagonal is drawn per block (one entry for C and R, an equal pair
+    for H), normalized to product one, and then the entries above the
+    block diagonal: a complex or a real normal each for C and R, and for H
+    one quaternion block ``[[x, y], [-conj(y), conj(x)]]`` per pair of
+    coordinate pairs.
+    """
+    width = 2 if field == "H" else 1
+    if n % width != 0:
+        raise OddDimension("quaternionic solvable needs an even dimension")
+    blocks = n // width
+    rng = np.random.default_rng(seed)
+    diag = np.exp(rng.uniform(-0.5, 0.5, size=blocks))
+    diag /= np.prod(diag) ** (1.0 / blocks)
+    e = np.diag(np.repeat(diag, width).astype(np.complex128))
+    k, l = np.triu_indices(blocks, 1)
+    if field == "H":
+        g = rng.standard_normal((len(k), 4))
+        x, y = 0.5 * (g[:, 0] + 1j * g[:, 1]), 0.5 * (g[:, 2] + 1j * g[:, 3])
+        e[2 * k, 2 * l], e[2 * k, 2 * l + 1] = x, y
+        e[2 * k + 1, 2 * l], e[2 * k + 1, 2 * l + 1] = -np.conj(y), np.conj(x)
+    elif field == "C":
+        g = rng.standard_normal((2, len(k)))
+        e[k, l] = 0.5 * (g[0] + 1j * g[1])
+    else:
+        e[k, l] = 0.5 * rng.standard_normal(len(k))
+    return e
+
+
 def solvable_sample(n: int, seed=0) -> np.ndarray:
     """Seeded random element of Sol_n (upper triangular, positive diagonal,
     det 1)."""
-    rng = np.random.default_rng(seed)
-    diag = np.exp(rng.uniform(-0.5, 0.5, size=n))
-    diag /= np.prod(diag) ** (1.0 / n)
-    e = np.diag(diag.astype(np.complex128))
-    iu = np.triu_indices(n, 1)
-    vals = rng.standard_normal(len(iu[0])) + 1j * rng.standard_normal(len(iu[0]))
-    e[iu] = 0.5 * vals
-    return e
+    return _solvable_sample(n, seed, "C")
 
 
 def real_solvable_sample(n: int, seed=0) -> np.ndarray:
@@ -401,13 +437,7 @@ def real_solvable_sample(n: int, seed=0) -> np.ndarray:
     This is the Iwasawa solvable factor of SL_n(R); congruence by it is the
     cell-preserving dressing for the symmetric fiber.
     """
-    rng = np.random.default_rng(seed)
-    diag = np.exp(rng.uniform(-0.5, 0.5, size=n))
-    diag /= np.prod(diag) ** (1.0 / n)
-    e = np.diag(diag.astype(np.complex128))
-    iu = np.triu_indices(n, 1)
-    e[iu] = 0.5 * rng.standard_normal(len(iu[0]))
-    return e
+    return _solvable_sample(n, seed, "R")
 
 
 def quaternionic_solvable_sample(n: int, seed=0) -> np.ndarray:
@@ -420,25 +450,7 @@ def quaternionic_solvable_sample(n: int, seed=0) -> np.ndarray:
     SL_{n/2}(H).  Congruence by it is the cell-preserving dressing for the
     skew fiber.
     """
-    if n % 2 != 0:
-        raise OddDimension("quaternionic solvable needs an even dimension")
-    rng = np.random.default_rng(seed)
-    half = n // 2
-    diag = np.exp(rng.uniform(-0.5, 0.5, size=half))
-    diag /= np.prod(diag) ** (1.0 / half)
-    e = np.zeros((n, n), dtype=np.complex128)
-    for k in range(half):
-        e[2 * k, 2 * k] = diag[k]
-        e[2 * k + 1, 2 * k + 1] = diag[k]
-    for k in range(half):
-        for l in range(k + 1, half):
-            x = 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
-            y = 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
-            e[2 * k, 2 * l] = x
-            e[2 * k, 2 * l + 1] = y
-            e[2 * k + 1, 2 * l] = -np.conj(y)
-            e[2 * k + 1, 2 * l + 1] = np.conj(x)
-    return e
+    return _solvable_sample(n, seed, "H")
 
 
 def haar_sample(n: int, klass: str, seed=0) -> np.ndarray:

@@ -26,8 +26,8 @@ from .errors import (
     ZeroVector,
 )
 from .cohom import check_class
-from .numlin import (FiberElement, as_square_matrix, check_unitary, hermitian_inner, is_unitary, jn,
-                     validated)
+from .numlin import (FiberElement, as_square_matrix, check_unitary, hermitian_inner, is_symmetric,
+                     is_unitary, jn)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 TAU = 2.0 * math.pi
@@ -329,14 +329,13 @@ def model_element(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> FiberEle
     not_in_model = NotInModel(f"matrix is not in the {klass} Cartan model")
     fiber = "symmetric" if klass == "symmetric" else "general"
     try:
-        elem = b if validated(b, fiber, "symmetric") else FiberElement(b, fiber, tol)
+        elem = FiberElement.of(b, fiber, tol)
     except NotInFiber:
         raise not_in_model from None
     m = elem.matrix
     if klass == "skew":
-        mj = m @ jn(m.shape[0] // 2) if m.shape[0] % 2 == 0 else None
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if mj is None or np.linalg.norm(mj + mj.T) > tol.tol_residual * scale:
+        n = m.shape[0]
+        if n % 2 or not is_symmetric(m @ jn(n // 2), tol, skew=True):
             raise not_in_model
     if not elem.unitary:
         raise not_in_model
