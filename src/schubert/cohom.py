@@ -6,6 +6,12 @@ beta, Kronecker and Poincare duals, the Hopf coproduct, homology products,
 intersection pairings, and the Poincare-polynomial cross-check data.  All
 arithmetic in this module is exact integer arithmetic; symbols are plain
 strictly increasing tuples of ints > 1.
+
+Each discrete input is checked by one function: a class tag by
+:func:`check_class`, symbol entries by :func:`check_entries`, and a size n
+by ``_check_size`` in every entry that takes one.  The generator degrees
+2m - 1, m and 4m - 3 are read from one table, ``_DIM_FORM``, which also
+gives the closed-form cell dimensions.
 """
 from __future__ import annotations
 
@@ -49,6 +55,19 @@ def check_entries(m) -> Monomial:
     return t
 
 
+def _check_size(n, least: int | None = None, name: str = "n") -> int:
+    """The module's one size check: an integer, converted with
+    ``operator.index`` as symbol entries are, and at least ``least`` when
+    given; anything else raises InvalidSymbol."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidSymbol(f"{name} must be an integer, got {n!r}") from None
+    if least is not None and n < least:
+        raise InvalidSymbol(f"need {name} >= {least}")
+    return n
+
+
 # generator degree = scale * m - shift, so a cell dimension, the sum of the
 # generator degrees, is scale * |m| - shift * l(m)
 _DIM_FORM = {"general": (2, 1), "symmetric": (1, 0), "skew": (4, 3)}
@@ -78,12 +97,7 @@ def enumerate_symbols(n: int, klass: str = "general") -> list[Monomial]:
     For the skew class the bound n is half the ambient dimension 2n.
     """
     check_class(klass)
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidSymbol(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise InvalidSymbol("need n >= 1")
+    n = _check_size(n, 1)
     return [t for r in range(n) for t in itertools.combinations(range(2, n + 1), r)]
 
 
@@ -291,9 +305,7 @@ def homology_product(m, mp):
 
 
 def full_symbol(n: int) -> Monomial:
-    if n < 2:
-        raise InvalidSymbol("need n >= 2")
-    return tuple(range(2, n + 1))
+    return tuple(range(2, _check_size(n, 2) + 1))
 
 
 def complement_symbol(m, n: int) -> Monomial:
@@ -315,6 +327,17 @@ def poincare_dual(m, n: int) -> ExtElement:
     return ext_monomial(comp, sign, "Z")
 
 
+def _complementary(m, mp, n) -> tuple[Monomial, Monomial, int]:
+    """The two symbols and the size of a pairing; the symbol lengths must be
+    complementary, l(m) + l(m') = n - 1."""
+    a, b, n = check_entries(m), check_entries(mp), _check_size(n)
+    if len(a) + len(b) != n - 1:
+        raise PreconditionViolated(
+            f"lengths {len(a)} + {len(b)} != {n - 1}; the pairing needs complementary degrees"
+        )
+    return a, b, n
+
+
 def intersection_pairing(m, mp, n: int) -> int:
     """Intersection number of the Schubert cycles of m and m' in ambient n.
 
@@ -322,11 +345,7 @@ def intersection_pairing(m, mp, n: int) -> int:
     m' is the ordered complement of m, where it equals
     ``(-1)^(beta(n) + beta(m) + beta(m')) epsilon_(m, m')``.
     """
-    a, b = check_entries(m), check_entries(mp)
-    if len(a) + len(b) != n - 1:
-        raise PreconditionViolated(
-            f"lengths {len(a)} + {len(b)} != {n - 1}; the pairing needs complementary degrees"
-        )
+    a, b, n = _complementary(m, mp, n)
     if b != complement_symbol(a, n):
         return 0
     nn = full_symbol(n)
@@ -336,9 +355,7 @@ def intersection_pairing(m, mp, n: int) -> int:
 def intersection_pairing_via_cup(m, mp, n: int) -> int:
     """The same pairing through the dual route: cup the Kronecker duals and
     read off the coefficient against the top-class orientation."""
-    a, b = check_entries(m), check_entries(mp)
-    if len(a) + len(b) != n - 1:
-        raise PreconditionViolated("the pairing needs complementary degrees")
+    a, b, n = _complementary(m, mp, n)
     prod = ext_mul(kronecker_dual(a), kronecker_dual(b))
     nn = full_symbol(n)
     c = prod.coefficient(nn)
@@ -376,7 +393,7 @@ def generator_degrees(n: int, klass: str = "general") -> list[int]:
     """Degrees of the exterior generators for ambient n: 3,5,..,2n-1 /
     2,3,..,n / 5,9,..,4n-3 by class."""
     check_class(klass)
-    return [generator_degree(m, klass) for m in range(2, n + 1)]
+    return [generator_degree(m, klass) for m in range(2, _check_size(n) + 1)]
 
 
 def poincare_polynomial(n: int, klass: str = "general") -> dict[int, int]:
@@ -391,8 +408,7 @@ def sym_char0_poincare(m: int) -> dict[int, int]:
     Odd m: exterior generators of degrees 5, 9, ..., 2m-1.  Even m: degrees
     5, 9, ..., 2m-3 times the rank-2 factor {1, e_m}.
     """
-    if m < 2:
-        raise InvalidSymbol("need m >= 2")
+    m = _check_size(m, 2, "m")
     if m % 2 == 1:
         degrees = list(range(5, 2 * m, 4))
         return expand_product(degrees)
@@ -403,6 +419,7 @@ def sym_char0_poincare(m: int) -> dict[int, int]:
 def stiefel_poincare(m: int, n: int) -> dict[int, int]:
     """Integer cohomology Poincare polynomial of the complement of the
     singular m x n matrices (m > n): odd degrees 2(m-n)+1, ..., 2m-1."""
+    m, n = _check_size(m, name="m"), _check_size(n)
     if not (m > n >= 1):
         raise InvalidSymbol(f"need m > n >= 1, got ({m}, {n})")
     degrees = [2 * (m - n) + 2 * j - 1 for j in range(1, n + 1)]

@@ -57,6 +57,43 @@ class TestEnumeration:
         assert cohom.enumerate_symbols(np.int64(4)) == cohom.enumerate_symbols(4)
 
 
+class TestSizes:
+    """Every entry that takes a size checks it as enumerate_symbols does."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: cohom.stiefel_poincare(5.5, 2),
+        lambda: cohom.stiefel_poincare(5, 2.0),
+        lambda: cohom.sym_char0_poincare(3.0),
+        lambda: cohom.poincare_polynomial(3.5),
+        lambda: cohom.generator_degrees("4"),
+        lambda: cohom.poincare_dual((2,), 3.0),
+        lambda: cohom.full_symbol(3.0),
+        lambda: cohom.complement_symbol((2,), 2.5),
+        lambda: cohom.intersection_pairing((2,), (3,), 4.0),
+        lambda: cohom.intersection_pairing_via_cup((2,), (3,), 4.0),
+    ])
+    def test_non_integral_size_rejected(self, call):
+        with pytest.raises(InvalidSymbol):
+            call()
+
+    def test_numpy_integer_sizes_accepted(self):
+        i = np.int64
+        assert cohom.stiefel_poincare(i(3), i(2)) == cohom.stiefel_poincare(3, 2)
+        assert cohom.sym_char0_poincare(i(4)) == cohom.sym_char0_poincare(4)
+        assert cohom.poincare_polynomial(i(5), "skew") == cohom.poincare_polynomial(5, "skew")
+        assert cohom.full_symbol(i(4)) == (2, 3, 4)
+        assert cohom.intersection_pairing((2,), (3,), i(3)) == -1
+
+    def test_integral_bounds_unchanged(self):
+        assert cohom.generator_degrees(1) == [] and cohom.generator_degrees(0) == []
+        with pytest.raises(InvalidSymbol):
+            cohom.full_symbol(1)
+        with pytest.raises(InvalidSymbol):
+            cohom.sym_char0_poincare(1)
+        with pytest.raises(PreconditionViolated):
+            cohom.intersection_pairing((2,), (), 1)
+
+
 class TestCellDim:
     def test_general(self):
         assert cohom.cell_dim((2, 3), "general") == 8
