@@ -406,6 +406,8 @@ def _solvable_sample(n: int, seed, field: str) -> np.ndarray:
     if n % width != 0:
         raise OddDimension("quaternionic solvable needs an even dimension")
     blocks = n // width
+    if blocks < 1:
+        raise DimensionMismatch(f"need n >= {width}")
     rng = np.random.default_rng(seed)
     diag = np.exp(rng.uniform(-0.5, 0.5, size=blocks))
     diag /= np.prod(diag) ** (1.0 / blocks)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from schubert import numlin
 from schubert.errors import (
+    DimensionMismatch,
     NotInFiber,
     NotSkewSymmetric,
     NotSymmetric,
@@ -237,3 +238,78 @@ class TestHaarSample:
     def test_skew_odd_rejected(self):
         with pytest.raises(OddDimension):
             numlin.haar_sample(3, "skew_fiber", seed=0)
+
+
+# The three loop samplers that the one solvable sampler replaced, kept as its
+# reference: the same draws in the same order must give the same matrices.
+def _ref_solvable(n, seed):
+    rng = np.random.default_rng(seed)
+    diag = np.exp(rng.uniform(-0.5, 0.5, size=n))
+    diag /= np.prod(diag) ** (1.0 / n)
+    e = np.diag(diag.astype(np.complex128))
+    iu = np.triu_indices(n, 1)
+    vals = rng.standard_normal(len(iu[0])) + 1j * rng.standard_normal(len(iu[0]))
+    e[iu] = 0.5 * vals
+    return e
+
+
+def _ref_real_solvable(n, seed):
+    rng = np.random.default_rng(seed)
+    diag = np.exp(rng.uniform(-0.5, 0.5, size=n))
+    diag /= np.prod(diag) ** (1.0 / n)
+    e = np.diag(diag.astype(np.complex128))
+    iu = np.triu_indices(n, 1)
+    e[iu] = 0.5 * rng.standard_normal(len(iu[0]))
+    return e
+
+
+def _ref_quaternionic_solvable(n, seed):
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    diag = np.exp(rng.uniform(-0.5, 0.5, size=half))
+    diag /= np.prod(diag) ** (1.0 / half)
+    e = np.zeros((n, n), dtype=np.complex128)
+    for k in range(half):
+        e[2 * k, 2 * k] = diag[k]
+        e[2 * k + 1, 2 * k + 1] = diag[k]
+    for k in range(half):
+        for l in range(k + 1, half):
+            x = 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
+            y = 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
+            e[2 * k, 2 * l] = x
+            e[2 * k, 2 * l + 1] = y
+            e[2 * k + 1, 2 * l] = -np.conj(y)
+            e[2 * k + 1, 2 * l + 1] = np.conj(x)
+    return e
+
+
+SAMPLERS = [
+    (numlin.solvable_sample, _ref_solvable, (1, 2, 4, 6, 8, 12, 32)),
+    (numlin.real_solvable_sample, _ref_real_solvable, (1, 2, 4, 6, 8, 12, 32)),
+    (numlin.quaternionic_solvable_sample, _ref_quaternionic_solvable, (2, 4, 6, 8, 12, 32)),
+]
+
+
+class TestSolvableSamplers:
+    @pytest.mark.parametrize("sampler,ref,sizes", SAMPLERS)
+    def test_equal_to_the_loop_samplers(self, sampler, ref, sizes):
+        for n in sizes:
+            for seed in range(20):
+                assert np.array_equal(sampler(n, seed), ref(n, seed)), (n, seed)
+
+    @pytest.mark.parametrize("sampler,ref,sizes", SAMPLERS)
+    def test_leaves_the_generator_where_the_loop_samplers_do(self, sampler, ref, sizes):
+        for n in sizes:
+            got, want = np.random.default_rng(n), np.random.default_rng(n)
+            assert np.array_equal(sampler(n, got), ref(n, want))
+            assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("sampler", [s for s, _, _ in SAMPLERS])
+    def test_size_with_no_group_rejected(self, sampler):
+        for n in (0, -2):
+            with pytest.raises(DimensionMismatch):
+                sampler(n, 0)
+
+    def test_odd_quaternionic_rejected(self):
+        with pytest.raises(OddDimension):
+            numlin.quaternionic_solvable_sample(5, 0)
