@@ -6,12 +6,9 @@ beta, Kronecker and Poincare duals, the Hopf coproduct, homology products,
 intersection pairings, and the Poincare-polynomial cross-check data.  All
 arithmetic in this module is exact integer arithmetic; symbols are plain
 strictly increasing tuples of ints > 1.
-
-Each discrete input is checked by one function: a class tag by
-:func:`check_class`, symbol entries by :func:`check_entries`, and a size n
-by ``_check_size`` in every entry that takes one.  The generator degrees
-2m - 1, m and 4m - 3 are read from one table, ``_DIM_FORM``, which also
-gives the closed-form cell dimensions.
+Class tags, symbol entries and sizes are each checked by one function;
+one table, ``_DIM_FORM``, gives the generator degrees 2m - 1, m and 4m - 3
+and the closed-form cell dimensions.
 """
 from __future__ import annotations
 
@@ -197,16 +194,14 @@ def _mono_str(mono: Monomial) -> str:
     return "1" if not mono else "".join(f"e({m})" for m in mono)
 
 
-def _term_str(body: str, coef: int, lead: bool) -> str:
-    """One signed term: the sign (bare on the lead term), the coefficient
-    unless it is +-1, and the body."""
-    sign = ("-" if coef < 0 else "") if lead else (" - " if coef < 0 else " + ")
-    return sign + ("" if abs(coef) == 1 else f"{abs(coef)}*") + body
-
-
 def _terms_str(terms) -> str:
-    """The (body, coefficient) pairs as a signed sum, or "0"."""
-    return "".join(_term_str(body, c, i == 0) for i, (body, c) in enumerate(terms)) or "0"
+    """The (body, coefficient) pairs as a signed sum, or "0": the lead sign
+    is bare, and a coefficient +-1 is not printed."""
+    out = []
+    for i, (body, c) in enumerate(terms):
+        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        out.append(sign + ("" if abs(c) == 1 else f"{abs(c)}*") + body)
+    return "".join(out) or "0"
 
 
 def format_element(e: ExtElement) -> str:

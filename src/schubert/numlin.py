@@ -1,14 +1,13 @@
 """Dense complex linear algebra kernels.
 
-Hermitian inner products, fiber membership (:class:`FiberElement`, whose
-``FiberElement.of`` is the one entry that validates an input or passes on
-one already validated, the one form test :func:`is_symmetric` and the one
-det = 1 / Pf = 1 decision :func:`near_one`), the Iwasawa (unitary *
+Hermitian inner products, fiber membership (:class:`FiberElement` with its
+one entry ``FiberElement.of``, the one form test :func:`is_symmetric` and
+the one det = 1 / Pf = 1 decision :func:`near_one`), the Iwasawa (unitary *
 solvable) splitting of determinant-one matrices, Pfaffians, congruence
 normalization of symmetric and skew-symmetric bilinear forms, and seeded
-random samplers for the matrix classes, the solvable groups over C, R and
-H drawn by one body.  The factorization engines do not diagonalize: they
-read factors off row by row (see :mod:`schubert.factor`).  ``eig_unitary``
+random samplers for the matrix classes (one body for the solvable groups
+over C, R and H).  The factorization engines do not diagonalize: they read
+factors off row by row (see :mod:`schubert.factor`).  ``eig_unitary``
 remains an exported kernel of the package.
 
 Conventions:
@@ -393,15 +392,9 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _solvable_sample(n: int, seed, field: str) -> np.ndarray:
-    """Seeded element of the Iwasawa solvable group of SL over ``field``
-    "C", "R" or "H": upper triangular, positive diagonal, det 1.
-
-    The diagonal is drawn per block (one entry for C and R, an equal pair
-    for H), normalized to product one, and then the entries above the
-    block diagonal: a complex or a real normal each for C and R, and for H
-    one quaternion block ``[[x, y], [-conj(y), conj(x)]]`` per pair of
-    coordinate pairs.
-    """
+    """The body of the three solvable samplers, ``field`` "C", "R" or "H":
+    the diagonal per block (an equal pair for H), then the entries above
+    the blocks, complex, real or quaternion ``[[x, y], [-conj(y), conj(x)]]``."""
     width = 2 if field == "H" else 1
     if n % width != 0:
         raise OddDimension("quaternionic solvable needs an even dimension")
