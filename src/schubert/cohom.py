@@ -71,9 +71,10 @@ _DIM_FORM = {"general": (2, 1), "symmetric": (1, 0), "skew": (4, 3)}
 
 
 def generator_degree(m: int, klass: str = "general") -> int:
-    """Degree of the generator labelled m: 2m-1 / m / 4m-3 by class."""
+    """Degree of the generator labelled m: 2m-1 / m / 4m-3 by class.  The
+    label is checked as a one-entry symbol."""
     scale, shift = _DIM_FORM[check_class(klass)]
-    return scale * m - shift
+    return scale * check_entries((m,))[0] - shift
 
 
 def cell_dim(m, klass: str = "general") -> int:

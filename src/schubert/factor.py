@@ -49,7 +49,6 @@ from .errors import (
 from .numlin import (
     FiberElement,
     as_square_matrix,
-    check_unitary,
     haar_sample,
     jn,
 )
@@ -284,8 +283,7 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     a pivot coordinate or the correction angle lands in the gray zone of
     its threshold.
     """
-    check_unitary(b, tol)  # NotUnitary, then NotInFiber unless b passed det = 1
-    b = FiberElement.of(b, "general", tol).matrix
+    b = FiberElement.of_unitary(b, tol).matrix
     n = b.shape[0]
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
@@ -315,8 +313,7 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
     right end of the product.  The residual is that of B^-1, since
     ``||P^-1 - B||_F = ||P - B^-1||_F`` for a unitary product P.
     """
-    check_unitary(b, tol)  # NotUnitary before NotInFiber, as in factorize_su
-    inc = factorize_su(FiberElement.of(b, "general", tol).adjoint(), tol)
+    inc = factorize_su(FiberElement.of_unitary(b, tol).adjoint(), tol)
     return OrderedFactorization(
         klass="general",
         order="decreasing",

@@ -108,10 +108,17 @@ _UNDRESS_GATE = 1e-6  # unit-modulus, eigen-cluster and basis-rank gate of exact
 def _unit_eig_clusters(w_mat: np.ndarray):
     """Eigen clusters of a matrix similar to a unitary one, sorted by angle.
 
-    Returns None when the spectrum is not unit-modulus within the gate.
+    Returns None when the spectrum is not unit-modulus within the gate.  The
+    gate is decided on the eigenvalues alone, and again on those that come
+    with the eigenvectors, which are computed only when it passes.
     """
+    def off_unit(vals):
+        return np.max(np.abs(np.abs(vals) - 1.0)) > _UNDRESS_GATE
+
+    if off_unit(np.linalg.eigvals(w_mat)):
+        return None
     vals, vecs = np.linalg.eig(w_mat)
-    if np.max(np.abs(np.abs(vals) - 1.0)) > _UNDRESS_GATE:
+    if off_unit(vals):
         return None
     order = np.argsort(np.angle(vals), kind="stable")
     vals, vecs = vals[order], vecs[:, order]

@@ -88,11 +88,17 @@ def check_unitary(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     return m
 
 
+def _form_scale(b: np.ndarray, tol: ToleranceConfig, skew: bool):
+    """``max(1, ||b||)`` when ``b`` passes the form test, else None."""
+    scale = max(1.0, float(np.linalg.norm(b)))
+    dev = b + b.T if skew else b - b.T
+    return scale if np.linalg.norm(dev) <= tol.tol_residual * scale else None
+
+
 def is_symmetric(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, skew: bool = False) -> bool:
     """The package's one form test: ``||b -+ b^T|| <= tol_residual * max(1,
     ||b||)``, for a symmetric ``b``, or a skew-symmetric one with ``skew``."""
-    dev = b + b.T if skew else b - b.T
-    return np.linalg.norm(dev) <= tol.tol_residual * max(1.0, float(np.linalg.norm(b)))
+    return _form_scale(b, tol, skew) is not None
 
 
 def near_one(value: complex, tol: ToleranceConfig = DEFAULT_TOL, factor: float = 100.0) -> bool:
@@ -139,6 +145,16 @@ class FiberElement:
         as an element of ``klass``."""
         passed = (klass, "symmetric") if klass == "general" else (klass,)
         return b if isinstance(b, cls) and b.klass in passed else cls(b, klass, tol)
+
+    @classmethod
+    def of_unitary(cls, b, tol: ToleranceConfig = DEFAULT_TOL) -> "FiberElement":
+        """``FiberElement.of(b, "general", tol)`` for a ``b`` that must be
+        unitary: NotUnitary comes before NotInFiber, and the answer is kept
+        (an adjoint keeps it too)."""
+        check_unitary(b, tol)
+        elem = cls.of(b, "general", tol)
+        elem.__dict__["unitary"] = True
+        return elem
 
     def adjoint(self) -> "FiberElement":
         """The conjugate transpose, in the same fiber and tier without new
@@ -239,19 +255,29 @@ def eig_unitary(b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> Unitary
     )
 
 
+def _swap(t: np.ndarray, p: int, q: int, c: np.ndarray | None = None) -> None:
+    """Swap rows and columns p and q of ``t``, and columns p and q of ``c``."""
+    if p != q:
+        t[p], t[q] = t[q].copy(), t[p].copy()
+        for m in (t,) if c is None else (t, c):
+            m[:, p], m[:, q] = m[:, q].copy(), m[:, p].copy()
+
+
 def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Pfaffian of a skew-symmetric matrix by skew elimination with pivoting.
 
     Normalized so that ``pfaffian(jn(k)) == 1``; satisfies
-    ``Pf(C^T B C) = det(C) Pf(B)`` and ``Pf(B)^2 = det(B)``.
+    ``Pf(C^T B C) = det(C) Pf(B)`` and ``Pf(B)^2 = det(B)``.  Rows and
+    columns already eliminated are never read again, so pivot swaps move
+    only the rows and columns from the current pivot on.
     """
     b = as_square_matrix(b)
     n = b.shape[0]
     if n % 2 != 0:
         raise OddDimension("Pfaffian needs an even dimension")
-    if not is_symmetric(b, tol, skew=True):
+    scale = _form_scale(b, tol, True)
+    if scale is None:
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    scale = max(1.0, float(np.linalg.norm(b)))
     a = 0.5 * (b - b.T)
     pf = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
@@ -261,8 +287,7 @@ def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
         if abs(a[k, jpiv]) <= tol.tol_zero * scale:
             return 0.0 + 0.0j
         if jpiv != k + 1:
-            a[[k + 1, jpiv], :] = a[[jpiv, k + 1], :]
-            a[:, [k + 1, jpiv]] = a[:, [jpiv, k + 1]]
+            _swap(a[k:, k:], 1, jpiv - k)
             pf = -pf
         pivot = a[k, k + 1]
         pf *= pivot
@@ -277,9 +302,9 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     """Return C with ``C^T B C = I`` for symmetric invertible B with det 1.
 
     Lagrange congruence reduction: diagonal pivoting, the row+column
-    addition trick when the remaining diagonal vanishes, then rescaling by
-    principal-branch square roots.  ``det(C) = +-1`` is forced to +1 by a
-    column sign flip.
+    addition trick when the remaining diagonal vanishes, one Schur update
+    of the trailing block per pivot, then rescaling by principal-branch
+    square roots.  ``det(C) = +-1`` is forced to +1 by a column sign flip.
     """
     checked = isinstance(b, FiberElement) and b.klass == "symmetric"
     b = as_square_matrix(b)
@@ -290,33 +315,23 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     a = 0.5 * (b + b.T)
     c = np.eye(n, dtype=np.complex128)
     for i in range(n):
-        # best available diagonal pivot
-        diag = np.abs(np.diag(a)[i:])
-        j = i + int(np.argmax(diag))
-        if abs(a[j, j]) <= tol.tol_zero * scale:
+        t = a[i:, i:]  # the trailing block; rows and columns before i are done
+        j = int(np.argmax(np.abs(t.diagonal())))
+        if abs(t[j, j]) <= tol.tol_zero * scale:
             # all remaining diagonal entries vanish: create a pivot by a
             # row+column addition using the largest off-diagonal entry
-            sub = np.abs(np.triu(a[i:, i:], 1))
-            if sub.size == 0 or sub.max() <= tol.tol_zero * scale:
+            sub = np.abs(np.triu(t, 1))
+            if sub.max() <= tol.tol_zero * scale:
                 raise SingularInput("quadratic form is singular")
-            p, q = np.unravel_index(int(np.argmax(sub)), sub.shape)
-            p, q = i + int(p), i + int(q)
-            a[:, p] += a[:, q]
-            a[p, :] += a[q, :]
-            c[:, p] += c[:, q]
-            j = p
-        if j != i:
-            a[:, [i, j]] = a[:, [j, i]]
-            a[[i, j], :] = a[[j, i], :]
-            c[:, [i, j]] = c[:, [j, i]]
-        pivot = a[i, i]
-        if i + 1 < n:
-            coeff = a[i, i + 1 :] / pivot
-            a[:, i + 1 :] -= np.outer(a[:, i], coeff)
-            a[i + 1 :, :] -= np.outer(coeff, a[i, :])
-            c[:, i + 1 :] -= np.outer(c[:, i], coeff)
-    roots = np.sqrt(np.diag(a).astype(np.complex128))
-    c = c / roots[np.newaxis, :]
+            j, q = divmod(int(np.argmax(sub)), n - i)
+            t[:, j] += t[:, q]
+            t[j, :] += t[q, :]
+            c[:, i + j] += c[:, i + q]
+        _swap(t, 0, j, c[:, i:])
+        coeff = t[0, 1:] / t[0, 0]
+        t[1:, 1:] -= np.outer(t[1:, 0], coeff)
+        c[:, i + 1 :] -= np.outer(c[:, i], coeff)
+    c = c / np.sqrt(a.diagonal())
     det = complex(np.linalg.det(c))
     if not near_one(det, tol):
         if not near_one(-det, tol):
@@ -329,8 +344,9 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Return C with ``C^T B C = J`` for skew invertible B with Pf 1.
 
     Skew congruence elimination builds the interleaved 2x2 blocks of
-    :func:`jn` in place: pivot a maximal entry into each (2i-1, 2i) slot,
-    scale the block symmetrically, and clear the remaining couplings.
+    :func:`jn`: pivot a maximal entry x into each (2i-1, 2i) slot, subtract
+    the Schur complement of that block from the trailing block once, and
+    scale the block's columns of C by x^(-1/2).
     """
     checked = isinstance(b, FiberElement) and b.klass == "skew"
     b = as_square_matrix(b)
@@ -342,42 +358,19 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
     a = 0.5 * (b - b.T)
     c = np.eye(n, dtype=np.complex128)
-
-    def swap(p: int, q: int) -> None:
-        if p == q:
-            return
-        a[:, [p, q]] = a[:, [q, p]]
-        a[[p, q], :] = a[[q, p], :]
-        c[:, [p, q]] = c[:, [q, p]]
-
     for i in range(0, n, 2):
-        sub = np.abs(a[i:, i:])
-        p, q = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        p, q = i + int(p), i + int(q)
-        if abs(a[p, q]) <= tol.tol_zero * scale:
+        t = a[i:, i:]  # the trailing block; rows and columns before i are done
+        p, q = divmod(int(np.argmax(np.abs(t))), n - i)
+        if abs(t[p, q]) <= tol.tol_zero * scale:
             raise SingularInput("skew form is singular")
-        swap(p, i)
-        # q may have been moved by the first swap
-        if q == i:
-            q = p
-        swap(q, i + 1)
-        s = np.sqrt(np.complex128(a[i, i + 1]))
-        a[:, i] /= s
-        a[i, :] /= s
-        a[:, i + 1] /= s
-        a[i + 1, :] /= s
-        c[:, i] /= s
-        c[:, i + 1] /= s
-        if i + 2 < n:
-            # clear couplings of the finished block to the trailing matrix
-            mu = a[i, i + 2 :] / a[i, i + 1]
-            a[:, i + 2 :] -= np.outer(a[:, i + 1], mu)
-            a[i + 2 :, :] -= np.outer(mu, a[i + 1, :])
-            c[:, i + 2 :] -= np.outer(c[:, i + 1], mu)
-            nu = a[i + 1, i + 2 :] / a[i + 1, i]
-            a[:, i + 2 :] -= np.outer(a[:, i], nu)
-            a[i + 2 :, :] -= np.outer(nu, a[i, :])
-            c[:, i + 2 :] -= np.outer(c[:, i], nu)
+        _swap(t, 0, p, c[:, i:])
+        _swap(t, 1, p if q == 0 else q, c[:, i:])  # q may have been moved by the first swap
+        x = t[0, 1]
+        w = t[1::-1, 2:] / x  # P^-1 t[:2, 2:] for the pivot block P = [[0, x], [-x, 0]]
+        w[0] = -w[0]
+        t[2:, 2:] -= t[2:, :2] @ w
+        c[:, i + 2 :] -= c[:, i : i + 2] @ w
+        c[:, i : i + 2] /= np.sqrt(x)
     if not checked:
         det = complex(np.linalg.det(c))
         if not near_one(det, tol, 1000.0):

@@ -130,6 +130,16 @@ class TestCellDim:
             with pytest.raises(InvalidSymbol):
                 cohom.cell_dim(entries)
 
+    def test_generator_degree_values(self):
+        for m in range(2, 21):
+            got = [cohom.generator_degree(m, klass) for klass in ("general", "symmetric", "skew")]
+            assert got == [2 * m - 1, m, 4 * m - 3], m
+
+    def test_generator_degree_rejects_non_generators(self):
+        for args in ((2.5,), (-3,), (1, "skew"), (1,), ("2",)):
+            with pytest.raises(InvalidSymbol):
+                cohom.generator_degree(*args)
+
     def test_accepts_numpy_integers(self):
         assert cohom.cell_dim(np.array([2, 3])) == 8
         assert cohom.cell_dim((np.int64(2), np.int32(3)), "skew") == 14

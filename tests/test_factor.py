@@ -409,6 +409,13 @@ class TestDecreasingAndReverse:
             f = factorize_decreasing(b)
             assert abs(f.residual - np.linalg.norm(f.matrix() - b)) <= 1e-14
 
+    def test_one_unitarity_check_on_a_raw_array(self, monkeypatch):
+        calls = []
+        is_unitary = numlin.is_unitary
+        monkeypatch.setattr(numlin, "is_unitary", lambda *a: calls.append(1) or is_unitary(*a))
+        factorize_decreasing(numlin.haar_sample(5, "special_unitary", 3))
+        assert len(calls) == 1
+
     def test_reverse_empty(self):
         f = factorize_su(np.eye(3))
         assert reverse_order(f).factors == ()

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schubert import numlin
+from schubert import milnor, numlin
 from schubert.errors import ConvergenceFailure, NotInFiber, PreconditionViolated
 from schubert.factor import SchubertSymbol, sample_interior_params, schubert_map_sk
+from schubert.tolerances import DEFAULT_TOL
 from schubert.milnor import (
     FiberElement,
     closure_product_check,
@@ -132,6 +133,25 @@ class TestIdentifySkew:
 
     def test_undress_refuses_odd_dimension(self, rng):
         assert undress_skew(numlin.haar_sample(5, "sym_fiber", rng)) is None
+
+
+class TestSpectrumBeforeEigenvectors:
+    """Undressing decides the unit-modulus gate on the eigenvalues before it
+    computes eigenvectors."""
+
+    @pytest.mark.parametrize("klass,sample,entries",
+                             [("symmetric", "sym_fiber", (2, 4)), ("skew", "skew_fiber", (2, 3))])
+    def test_haar_point_makes_no_eig_call(self, monkeypatch, klass, sample, entries):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+        b = numlin.haar_sample(8, sample, 3)
+        assert milnor._undress(b, klass, DEFAULT_TOL) is None
+        assert calls == []
+        point = fiber_sample(SchubertSymbol(entries, 6, klass), 5, dress=True)
+        compact, witness = milnor._undress(point, klass, DEFAULT_TOL)
+        assert calls == [1]
+        assert np.linalg.norm(witness.T @ compact @ witness - point) <= 1e-8
 
 
 class TestTransportContract:

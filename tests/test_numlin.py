@@ -12,6 +12,8 @@ from schubert.errors import (
     SingularInput,
 )
 
+from schubert.tolerances import DEFAULT_TOL
+
 from conftest import e
 
 
@@ -132,6 +134,82 @@ class TestPfaffian:
     def test_not_skew_rejected(self):
         with pytest.raises(NotSkewSymmetric):
             numlin.pfaffian(np.eye(4))
+
+
+def _loop_pfaffian(b, tol=DEFAULT_TOL):
+    """The elimination that swaps whole rows and columns, as the reference
+    for the trailing-block swaps of ``numlin.pfaffian``."""
+    n = b.shape[0]
+    scale = max(1.0, float(np.linalg.norm(b)))
+    a = 0.5 * (b - b.T)
+    pf = 1.0 + 0.0j
+    for k in range(0, n - 1, 2):
+        jpiv = k + 1 + int(np.argmax(np.abs(a[k, k + 1 :])))
+        if abs(a[k, jpiv]) <= tol.tol_zero * scale:
+            return 0.0 + 0.0j
+        if jpiv != k + 1:
+            a[[k + 1, jpiv], :] = a[[jpiv, k + 1], :]
+            a[:, [k + 1, jpiv]] = a[:, [jpiv, k + 1]]
+            pf = -pf
+        pivot = a[k, k + 1]
+        pf *= pivot
+        if k + 2 < n:
+            tau = a[k, k + 2 :] / pivot
+            w = a[k + 1, k + 2 :]
+            a[k + 2 :, k + 2 :] += np.outer(w, tau) - np.outer(tau, w)
+    return complex(pf)
+
+
+class TestTrailingBlockPfaffian:
+    def test_equal_to_the_full_width_elimination(self):
+        for n in range(2, 33, 2):
+            for seed in range(10):
+                b = numlin.haar_sample(n, "skew_fiber", seed)
+                assert numlin.pfaffian(b) == _loop_pfaffian(b), (n, seed)
+
+    def test_singular_is_zero(self):
+        b = np.zeros((4, 4), dtype=complex)
+        b[:2, :2] = numlin.jn(1)
+        assert numlin.pfaffian(b) == 0
+
+
+# class, form F and sizes of the normalizers' Haar inputs
+NORMALIZERS = [
+    (numlin.diagonalize_quadratic_form, "sym_fiber", (2, 3, 4, 5, 8, 16, 32)),
+    (numlin.normalize_skew_form, "skew_fiber", (2, 4, 6, 8, 16, 32)),
+]
+
+
+class TestNormalizers:
+    @pytest.mark.parametrize("normalize,klass,sizes", NORMALIZERS)
+    def test_reach_the_form_with_det_one(self, normalize, klass, sizes):
+        for n in sizes:
+            form = np.eye(n) if klass == "sym_fiber" else numlin.jn(n // 2)
+            for seed in range(20):
+                b = numlin.haar_sample(n, klass, seed)
+                c = normalize(b)
+                assert np.linalg.norm(c.T @ b @ c - form) <= 1e-8 * n, (n, seed)
+                assert abs(np.linalg.det(c) - 1) <= 1e-8 * n, (n, seed)
+
+    def test_vanishing_diagonal_after_the_first_pivot(self):
+        """The Schur complement of the first pivot is [[0, y], [y, 0]], so
+        the row+column trick must fire at i = 1."""
+        y, u = 1j / np.sqrt(2), np.array([1.0, 1.0])
+        b = np.zeros((3, 3), dtype=complex)
+        b[0, 0], b[0, 1:], b[1:, 0] = 2.0, u, u
+        b[1:, 1:] = np.array([[0, y], [y, 0]]) + np.outer(u, u) / 2
+        assert abs(np.linalg.det(b) - 1) <= 1e-12
+        c = numlin.diagonalize_quadratic_form(b)
+        assert np.linalg.norm(c.T @ b @ c - np.eye(3)) <= 1e-12
+        assert abs(np.linalg.det(c) - 1) <= 1e-12
+
+    def test_singular_forms_rejected(self):
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[:2, :2] = numlin.jn(1)
+        with pytest.raises(SingularInput):
+            numlin.diagonalize_quadratic_form(np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(SingularInput):
+            numlin.normalize_skew_form(skew)
 
 
 class TestQuadraticForm:
