@@ -255,12 +255,12 @@ def eig_unitary(b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> Unitary
     )
 
 
-def _swap(t: np.ndarray, p: int, q: int, c: np.ndarray | None = None) -> None:
-    """Swap rows and columns p and q of ``t``, and columns p and q of ``c``."""
+def _swap(t: np.ndarray, p: int, q: int) -> None:
+    """Swap rows p and q of ``t``, and columns p and q of its leading square block."""
     if p != q:
         t[p], t[q] = t[q].copy(), t[p].copy()
-        for m in (t,) if c is None else (t, c):
-            m[:, p], m[:, q] = m[:, q].copy(), m[:, p].copy()
+        sq = t[:, : t.shape[0]]
+        sq[:, p], sq[:, q] = sq[:, q].copy(), sq[:, p].copy()
 
 
 def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
@@ -302,9 +302,13 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     """Return C with ``C^T B C = I`` for symmetric invertible B with det 1.
 
     Lagrange congruence reduction: diagonal pivoting, the row+column
-    addition trick when the remaining diagonal vanishes, one Schur update
-    of the trailing block per pivot, then rescaling by principal-branch
-    square roots.  ``det(C) = +-1`` is forced to +1 by a column sign flip.
+    addition trick when the remaining diagonal vanishes, then rescaling by
+    principal-branch square roots.  ``det(C) = +-1`` is forced to +1 by a
+    column sign flip.  The form a and C^T are held side by side, as the
+    rows of ``g = [a | C^T]``: subtracting the Schur complement of a pivot
+    from a and the matching column update of C are one row operation on the
+    rows of g not yet eliminated, so each pivot makes one rank-1 update.
+    Eliminated rows and columns are never read again.
     """
     checked = isinstance(b, FiberElement) and b.klass == "symmetric"
     b = as_square_matrix(b)
@@ -312,26 +316,22 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     scale = max(1.0, float(np.abs(b).max()))
     if not (checked or is_symmetric(b, tol)):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    a = 0.5 * (b + b.T)
-    c = np.eye(n, dtype=np.complex128)
+    g = np.hstack((0.5 * (b + b.T), np.eye(n)))
     for i in range(n):
-        t = a[i:, i:]  # the trailing block; rows and columns before i are done
+        t = g[i:, i:]  # rows not yet eliminated; t[:, :n - i] is the trailing block of a
         j = int(np.argmax(np.abs(t.diagonal())))
         if abs(t[j, j]) <= tol.tol_zero * scale:
             # all remaining diagonal entries vanish: create a pivot by a
             # row+column addition using the largest off-diagonal entry
-            sub = np.abs(np.triu(t, 1))
+            sub = np.abs(np.triu(t[:, : n - i], 1))
             if sub.max() <= tol.tol_zero * scale:
                 raise SingularInput("quadratic form is singular")
             j, q = divmod(int(np.argmax(sub)), n - i)
             t[:, j] += t[:, q]
-            t[j, :] += t[q, :]
-            c[:, i + j] += c[:, i + q]
-        _swap(t, 0, j, c[:, i:])
-        coeff = t[0, 1:] / t[0, 0]
-        t[1:, 1:] -= np.outer(t[1:, 0], coeff)
-        c[:, i + 1 :] -= np.outer(c[:, i], coeff)
-    c = c / np.sqrt(a.diagonal())
+            t[j] += t[q]
+        _swap(t, 0, j)
+        t[1:, 1:] -= np.outer(t[1:, 0] / t[0, 0], t[0, 1:])
+    c = g[:, n:].T / np.sqrt(g.diagonal())
     det = complex(np.linalg.det(c))
     if not near_one(det, tol):
         if not near_one(-det, tol):
@@ -345,8 +345,11 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     Skew congruence elimination builds the interleaved 2x2 blocks of
     :func:`jn`: pivot a maximal entry x into each (2i-1, 2i) slot, subtract
-    the Schur complement of that block from the trailing block once, and
-    scale the block's columns of C by x^(-1/2).
+    the Schur complement of the block P = [[0, x], [-x, 0]], and scale the
+    block's columns of C by x^(-1/2).  As in
+    :func:`diagonalize_quadratic_form`, the rows of ``[a | C^T]`` not yet
+    eliminated take the Schur complement and the update of C together, in
+    one rank-2 update per pivot.
     """
     checked = isinstance(b, FiberElement) and b.klass == "skew"
     b = as_square_matrix(b)
@@ -356,21 +359,20 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     scale = max(1.0, float(np.abs(b).max()))
     if not (checked or is_symmetric(b, tol, skew=True)):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    a = 0.5 * (b - b.T)
-    c = np.eye(n, dtype=np.complex128)
+    g = np.hstack((0.5 * (b - b.T), np.eye(n)))
     for i in range(0, n, 2):
-        t = a[i:, i:]  # the trailing block; rows and columns before i are done
-        p, q = divmod(int(np.argmax(np.abs(t))), n - i)
+        t = g[i:, i:]  # rows not yet eliminated; t[:, :n - i] is the trailing block of a
+        p, q = divmod(int(np.argmax(np.abs(t[:, : n - i]))), n - i)
         if abs(t[p, q]) <= tol.tol_zero * scale:
             raise SingularInput("skew form is singular")
-        _swap(t, 0, p, c[:, i:])
-        _swap(t, 1, p if q == 0 else q, c[:, i:])  # q may have been moved by the first swap
+        _swap(t, 0, p)
+        _swap(t, 1, p if q == 0 else q)  # q may have been moved by the first swap
         x = t[0, 1]
-        w = t[1::-1, 2:] / x  # P^-1 t[:2, 2:] for the pivot block P = [[0, x], [-x, 0]]
-        w[0] = -w[0]
-        t[2:, 2:] -= t[2:, :2] @ w
-        c[:, i + 2 :] -= c[:, i : i + 2] @ w
-        c[:, i : i + 2] /= np.sqrt(x)
+        mult = t[2:, 1::-1] / x  # t[2:, :2] P^-1, with P^-1 = [[0, -1], [1, 0]] / x
+        mult[:, 1] = -mult[:, 1]
+        t[2:, 2:] -= mult @ t[:2, 2:]
+        t[:2, n - i :] /= np.sqrt(x)
+    c = g[:, n:].T
     if not checked:
         det = complex(np.linalg.det(c))
         if not near_one(det, tol, 1000.0):
