@@ -256,11 +256,11 @@ def eig_unitary(b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> Unitary
 
 
 def _swap(t: np.ndarray, p: int, q: int) -> None:
-    """Swap rows p and q of ``t``, and columns p and q of its leading square block."""
+    """Swap columns p and q of ``t``, and rows p and q of its leading square block."""
     if p != q:
-        t[p], t[q] = t[q].copy(), t[p].copy()
-        sq = t[:, : t.shape[0]]
-        sq[:, p], sq[:, q] = sq[:, q].copy(), sq[:, p].copy()
+        t[:, p], t[:, q] = t[:, q].copy(), t[:, p].copy()
+        sq = t[: t.shape[1]]
+        sq[p], sq[q] = sq[q].copy(), sq[p].copy()
 
 
 def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
@@ -304,11 +304,11 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     Lagrange congruence reduction: diagonal pivoting, the row+column
     addition trick when the remaining diagonal vanishes, then rescaling by
     principal-branch square roots.  ``det(C) = +-1`` is forced to +1 by a
-    column sign flip.  The form a and C^T are held side by side, as the
-    rows of ``g = [a | C^T]``: subtracting the Schur complement of a pivot
-    from a and the matching column update of C are one row operation on the
-    rows of g not yet eliminated, so each pivot makes one rank-1 update.
-    Eliminated rows and columns are never read again.
+    column sign flip.  The form a is held above C, as ``g = [a; C]``:
+    subtracting the Schur complement of a pivot from the trailing block of
+    a and the matching column update of C are one column operation on g,
+    so each pivot makes one rank-1 update.  Eliminated rows and columns of
+    a are never read again.
     """
     checked = isinstance(b, FiberElement) and b.klass == "symmetric"
     b = as_square_matrix(b)
@@ -316,22 +316,22 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     scale = max(1.0, float(np.abs(b).max()))
     if not (checked or is_symmetric(b, tol)):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    g = np.hstack((0.5 * (b + b.T), np.eye(n)))
+    g = np.vstack((0.5 * (b + b.T), np.eye(n)))
     for i in range(n):
-        t = g[i:, i:]  # rows not yet eliminated; t[:, :n - i] is the trailing block of a
+        t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
         j = int(np.argmax(np.abs(t.diagonal())))
         if abs(t[j, j]) <= tol.tol_zero * scale:
             # all remaining diagonal entries vanish: create a pivot by a
             # row+column addition using the largest off-diagonal entry
-            sub = np.abs(np.triu(t[:, : n - i], 1))
+            sub = np.abs(np.triu(t[: n - i], 1))
             if sub.max() <= tol.tol_zero * scale:
                 raise SingularInput("quadratic form is singular")
             j, q = divmod(int(np.argmax(sub)), n - i)
             t[:, j] += t[:, q]
             t[j] += t[q]
         _swap(t, 0, j)
-        t[1:, 1:] -= np.outer(t[1:, 0] / t[0, 0], t[0, 1:])
-    c = g[:, n:].T / np.sqrt(g.diagonal())
+        t[1:, 1:] -= np.outer(t[1:, 0], t[0, 1:] / t[0, 0])
+    c = g[n:] / np.sqrt(g.diagonal())
     det = complex(np.linalg.det(c))
     if not near_one(det, tol):
         if not near_one(-det, tol):
@@ -347,9 +347,9 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     :func:`jn`: pivot a maximal entry x into each (2i-1, 2i) slot, subtract
     the Schur complement of the block P = [[0, x], [-x, 0]], and scale the
     block's columns of C by x^(-1/2).  As in
-    :func:`diagonalize_quadratic_form`, the rows of ``[a | C^T]`` not yet
-    eliminated take the Schur complement and the update of C together, in
-    one rank-2 update per pivot.
+    :func:`diagonalize_quadratic_form`, ``g = [a; C]`` takes the Schur
+    complement and the update of C together, in one rank-2 update per
+    pivot.
     """
     checked = isinstance(b, FiberElement) and b.klass == "skew"
     b = as_square_matrix(b)
@@ -359,20 +359,20 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     scale = max(1.0, float(np.abs(b).max()))
     if not (checked or is_symmetric(b, tol, skew=True)):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    g = np.hstack((0.5 * (b - b.T), np.eye(n)))
+    g = np.vstack((0.5 * (b - b.T), np.eye(n)))
     for i in range(0, n, 2):
-        t = g[i:, i:]  # rows not yet eliminated; t[:, :n - i] is the trailing block of a
-        p, q = divmod(int(np.argmax(np.abs(t[:, : n - i]))), n - i)
+        t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
+        p, q = divmod(int(np.argmax(np.abs(t[: n - i]))), n - i)
         if abs(t[p, q]) <= tol.tol_zero * scale:
             raise SingularInput("skew form is singular")
         _swap(t, 0, p)
         _swap(t, 1, p if q == 0 else q)  # q may have been moved by the first swap
         x = t[0, 1]
-        mult = t[2:, 1::-1] / x  # t[2:, :2] P^-1, with P^-1 = [[0, -1], [1, 0]] / x
-        mult[:, 1] = -mult[:, 1]
-        t[2:, 2:] -= mult @ t[:2, 2:]
-        t[:2, n - i :] /= np.sqrt(x)
-    c = g[:, n:].T
+        w = t[1::-1, 2:] / x  # P^-1 t[:2, 2:], with P^-1 = [[0, -1], [1, 0]] / x
+        w[0] = -w[0]
+        t[2:, 2:] -= t[2:, :2] @ w
+        t[n - i :, :2] /= np.sqrt(x)
+    c = g[n:]
     if not checked:
         det = complex(np.linalg.det(c))
         if not near_one(det, tol, 1000.0):
