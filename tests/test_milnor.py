@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from schubert import milnor, numlin
 from schubert.errors import ConvergenceFailure, NotInFiber, PreconditionViolated
 from schubert.factor import SchubertSymbol, sample_interior_params, schubert_map_sk
-from schubert.tolerances import DEFAULT_TOL
 from schubert.milnor import (
     FiberElement,
     closure_product_check,
@@ -19,6 +18,7 @@ from schubert.milnor import (
     undress_skew,
     undress_symmetric,
 )
+from schubert.tolerances import DEFAULT_TOL
 
 from boundary_survey import pushed_cell
 

@@ -11,7 +11,6 @@ from schubert.errors import (
     OddDimension,
     SingularInput,
 )
-
 from schubert.tolerances import DEFAULT_TOL
 
 from conftest import e
@@ -173,7 +172,7 @@ class TestTrailingBlockPfaffian:
         assert numlin.pfaffian(b) == 0
 
 
-# class, form F and sizes of the normalizers' Haar inputs
+# each normalizer with the Haar class and the sizes of its inputs
 NORMALIZERS = [
     (numlin.diagonalize_quadratic_form, "sym_fiber", (2, 3, 4, 5, 8, 16, 32)),
     (numlin.normalize_skew_form, "skew_fiber", (2, 4, 6, 8, 16, 32)),
@@ -191,15 +190,19 @@ class TestNormalizers:
                 assert np.linalg.norm(c.T @ b @ c - form) <= 1e-8 * n, (n, seed)
                 assert abs(np.linalg.det(c) - 1) <= 1e-8 * n, (n, seed)
 
-    def test_vanishing_diagonal_after_the_first_pivot(self):
+    def test_vanishing_diagonal_after_the_first_pivot(self, monkeypatch):
         """The Schur complement of the first pivot is [[0, y], [y, 0]], so
-        the row+column trick must fire at i = 1."""
+        the row+column trick (the only np.triu call) fires at i = 1."""
         y, u = 1j / np.sqrt(2), np.array([1.0, 1.0])
         b = np.zeros((3, 3), dtype=complex)
         b[0, 0], b[0, 1:], b[1:, 0] = 2.0, u, u
         b[1:, 1:] = np.array([[0, y], [y, 0]]) + np.outer(u, u) / 2
         assert abs(np.linalg.det(b) - 1) <= 1e-12
+        tricks = []
+        triu = np.triu
+        monkeypatch.setattr(np, "triu", lambda m, k=0: tricks.append(m.shape) or triu(m, k))
         c = numlin.diagonalize_quadratic_form(b)
+        assert tricks == [(2, 2)]
         assert np.linalg.norm(c.T @ b @ c - np.eye(3)) <= 1e-12
         assert abs(np.linalg.det(c) - 1) <= 1e-12
 
