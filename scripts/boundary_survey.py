@@ -20,10 +20,14 @@ identified and counted as
 
 The boundary contract allows the first three.  The inputs counted in the
 last two columns are listed after the table, as ``pushed_cell`` calls.
+``--outcomes FILE`` writes every input to FILE, one line each in the same
+form (outcome, then the ``pushed_cell`` call), so that two checkouts give
+the same outcome on every input when their files are equal (``diff``).
 Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/boundary_survey.py --probes 100
     PYTHONPATH=src python3 scripts/boundary_survey.py --probes 100 --push angle
+    PYTHONPATH=src python3 scripts/boundary_survey.py --probes 100 --outcomes out.txt
 """
 import argparse
 import functools
@@ -92,13 +96,14 @@ def main() -> None:
                     help="push a line's last coordinate or a factor's angle")
     ap.add_argument("--lo", type=float, help="smallest pushed value (1.5e-6 for lines, 1e-9 for angles)")
     ap.add_argument("--hi", type=float, default=1e-1, help="largest pushed value")
+    ap.add_argument("--outcomes", metavar="FILE", help="write the outcome of every input to FILE")
     args = ap.parse_args()
 
     rng = np.random.default_rng(17)
     lo = args.lo if args.lo is not None else 1.5e-6 if args.push == "line" else 1e-9
     log_lo, log_hi = np.log10(lo), np.log10(args.hi)
     print(f"{'':18s}" + "".join(f"{name:>{len(name) + 2}s}" for name in OUTCOMES))
-    bad = []
+    every = []
     for klass in ("general", "symmetric", "skew"):
         for dress in (False, True):
             counts = dict.fromkeys(OUTCOMES, 0)
@@ -116,14 +121,18 @@ def main() -> None:
                 seed = int(rng.integers(2**31))
                 got = outcome(pushed_cell(entries, n, seed, tops, klass, dress, angles), klass, entries)
                 counts[got] += 1
-                if got in ("exit-2", "wrong"):
-                    bad.append((got, klass, entries, n, seed, tops, dress, angles))
+                tail = f", angles={angles}" if angles else ""
+                every.append(f"{got}: pushed_cell({entries}, {n}, {seed}, {tops}, {klass!r}, "
+                             f"dress={dress}{tail})")
             label = f"{klass} {'dressed' if dress else 'compact'}"
             cells = "".join(f"{counts[name]:>{len(name) + 2}d}" for name in OUTCOMES)
             print(f"{label:18s}{cells}", flush=True)
-    for got, klass, entries, n, seed, tops, dress, angles in bad:
-        tail = f", angles={angles}" if angles else ""
-        print(f"{got}: pushed_cell({entries}, {n}, {seed}, {tops}, {klass!r}, dress={dress}{tail})")
+    for line in every:
+        if line.startswith(("exit-2:", "wrong:")):
+            print(line)
+    if args.outcomes:
+        with open(args.outcomes, "w") as out:
+            out.writelines(line + "\n" for line in every)
 
 
 if __name__ == "__main__":
