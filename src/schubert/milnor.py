@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -103,22 +104,25 @@ def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentificatio
 
 
 _UNDRESS_GATE = 1e-6  # unit-modulus, eigen-cluster and basis-rank gate of exact undressing
+# Largest cond(E) of a dressing that undressing must find.  If B = E^T A E
+# undresses, M = sigma(B)^-1 B = E^-1 U E with U unitary, so ||M^k||_F <=
+# sqrt(n) cond(E) for every k; a power above sqrt(n) * _KAPPA_MAX rules B out.
+_KAPPA_MAX = 1e8
 
 
 def _unit_eig_clusters(w_mat: np.ndarray):
     """Eigen clusters of a matrix similar to a unitary one, sorted by angle.
 
-    Returns None when the spectrum is not unit-modulus within the gate.  The
-    gate is decided on the eigenvalues alone, and again on those that come
-    with the eigenvectors, which are computed only when it passes.
+    Returns None when the spectrum is not unit-modulus within the gate.
+    Before any eigen-solve, W, W^2, W^4, ..., W^64 are screened against the
+    norm bound of ``_KAPPA_MAX``; the screen stops at the first power above
+    it, so the squaring never overflows, and a NaN fails it.
     """
-    def off_unit(vals):
-        return np.max(np.abs(np.abs(vals) - 1.0)) > _UNDRESS_GATE
-
-    if off_unit(np.linalg.eigvals(w_mat)):
+    powers = accumulate(range(6), lambda p, _: p @ p, initial=w_mat)  # lazily, as all() reads them
+    if not all(np.linalg.norm(p) <= len(p) ** 0.5 * _KAPPA_MAX for p in powers):
         return None
     vals, vecs = np.linalg.eig(w_mat)
-    if off_unit(vals):
+    if np.max(np.abs(np.abs(vals) - 1.0)) > _UNDRESS_GATE:
         return None
     order = np.argsort(np.angle(vals), kind="stable")
     vals, vecs = vals[order], vecs[:, order]
