@@ -124,9 +124,12 @@ class FiberElement:
         if self.klass == "symmetric" and not is_symmetric(b, self.tol):
             raise NotInFiber("matrix is not symmetric")
         if self.klass == "skew":
-            try:  # pfaffian checks the dimension and the skew-symmetry
-                name, value = "Pf", pfaffian(b, self.tol)
-            except (OddDimension, NotSkewSymmetric) as exc:
+            try:  # Pf off the normalizer's elimination, which keeps its C; pfaffian, whose
+                # Pf is the more accurate at n >= 56, decides a compact input and a rejection
+                name, value = "Pf", None if self.unitary else self._skew_form[1]
+                if value is None or not near_one(value, self.tol):
+                    value = pfaffian(b, self.tol)
+            except (OddDimension, NotSkewSymmetric, SingularInput) as exc:
                 raise NotInFiber(str(exc)) from None
         else:
             name, value = "det", complex(np.linalg.det(b))
@@ -137,6 +140,11 @@ class FiberElement:
     def unitary(self) -> bool:
         """Whether the matrix is unitary (the compact tier), decided once."""
         return is_unitary(self.matrix, self.tol)
+
+    @functools.cached_property
+    def _skew_form(self) -> tuple:
+        """(C with C^T B C = J, Pf) of a skew matrix, eliminated once."""
+        return _skew_elimination(self.matrix, self.tol)
 
     @classmethod
     def of(cls, b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> "FiberElement":
@@ -255,12 +263,14 @@ def eig_unitary(b, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> Unitary
     )
 
 
-def _swap(t: np.ndarray, p: int, q: int) -> None:
-    """Swap columns p and q of ``t``, and rows p and q of its leading square block."""
+def _swap(t: np.ndarray, p: int, q: int) -> bool:
+    """Swap columns p and q of ``t``, and rows p and q of its leading square
+    block; whether that moved anything (p != q)."""
     if p != q:
         t[:, p], t[:, q] = t[:, q].copy(), t[:, p].copy()
         sq = t[: t.shape[1]]
         sq[p], sq[q] = sq[q].copy(), sq[p].copy()
+    return p != q
 
 
 def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
@@ -340,6 +350,36 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     return c
 
 
+def _skew_elimination(b: np.ndarray, tol: ToleranceConfig):
+    """The skew congruence elimination of :func:`normalize_skew_form`: C with
+    ``C^T B C = J``, and ``Pf(B) = (-1)^swaps * prod x_i = 1 / det C`` read
+    off its pivots.  An odd dimension, a form that is not skew and a
+    singular form raise."""
+    n = b.shape[0]
+    if n % 2 != 0:
+        raise OddDimension("skew normalization needs an even dimension")
+    scale = max(1.0, float(np.abs(b).max()))
+    if not is_symmetric(b, tol, skew=True):
+        raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
+    g = np.vstack((0.5 * (b - b.T), np.eye(n)))
+    pf = 1.0 + 0.0j
+    for i in range(0, n, 2):
+        t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
+        p, q = divmod(int(np.argmax(np.abs(t[: n - i]))), n - i)
+        if abs(t[p, q]) <= tol.tol_zero * scale:
+            raise SingularInput("skew form is singular")
+        q = p if q == 0 else q  # q may have been moved by the first swap
+        # the sign of Pf flips once per swap that moves something
+        odd = _swap(t, 0, p) != _swap(t, 1, q)
+        x = t[0, 1]
+        pf *= -x if odd else x
+        w = t[1::-1, 2:] / x  # P^-1 t[:2, 2:], with P^-1 = [[0, -1], [1, 0]] / x
+        w[0] = -w[0]
+        t[2:, 2:] -= t[2:, :2] @ w
+        t[n - i :, :2] /= np.sqrt(x)
+    return g[n:], complex(pf)
+
+
 def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Return C with ``C^T B C = J`` for skew invertible B with Pf 1.
 
@@ -349,34 +389,15 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     block's columns of C by x^(-1/2).  As in
     :func:`diagonalize_quadratic_form`, ``g = [a; C]`` takes the Schur
     complement and the update of C together, in one rank-2 update per
-    pivot.
+    pivot.  A skew FiberElement hands over the C of the elimination that
+    decided its membership; a raw array is decided by det C = 1 / Pf off
+    the pivots.
     """
-    checked = isinstance(b, FiberElement) and b.klass == "skew"
-    b = as_square_matrix(b)
-    n = b.shape[0]
-    if not checked and n % 2 != 0:
-        raise OddDimension("skew normalization needs an even dimension")
-    scale = max(1.0, float(np.abs(b).max()))
-    if not (checked or is_symmetric(b, tol, skew=True)):
-        raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
-    g = np.vstack((0.5 * (b - b.T), np.eye(n)))
-    for i in range(0, n, 2):
-        t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
-        p, q = divmod(int(np.argmax(np.abs(t[: n - i]))), n - i)
-        if abs(t[p, q]) <= tol.tol_zero * scale:
-            raise SingularInput("skew form is singular")
-        _swap(t, 0, p)
-        _swap(t, 1, p if q == 0 else q)  # q may have been moved by the first swap
-        x = t[0, 1]
-        w = t[1::-1, 2:] / x  # P^-1 t[:2, 2:], with P^-1 = [[0, -1], [1, 0]] / x
-        w[0] = -w[0]
-        t[2:, 2:] -= t[2:, :2] @ w
-        t[n - i :, :2] /= np.sqrt(x)
-    c = g[n:]
-    if not checked:
-        det = complex(np.linalg.det(c))
-        if not near_one(det, tol, 1000.0):
-            raise NotInFiber(f"det(C) = {det:.6g}; input Pfaffian is not 1")
+    if isinstance(b, FiberElement) and b.klass == "skew":
+        return b._skew_form[0].copy()
+    c, pf = _skew_elimination(as_square_matrix(b), tol)
+    if not near_one(1 / pf, tol, 1000.0):
+        raise NotInFiber(f"det(C) = {1 / pf:.6g}; input Pfaffian is not 1")
     return c
 
 
