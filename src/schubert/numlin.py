@@ -314,11 +314,12 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     Lagrange congruence reduction: diagonal pivoting, the row+column
     addition trick when the remaining diagonal vanishes, then rescaling by
     principal-branch square roots.  ``det(C) = +-1`` is forced to +1 by a
-    column sign flip.  The form a is held above C, as ``g = [a; C]``:
-    subtracting the Schur complement of a pivot from the trailing block of
-    a and the matching column update of C are one column operation on g,
-    so each pivot makes one rank-1 update.  Eliminated rows and columns of
-    a are never read again.
+    column sign flip; it is read off the pivots d_i as ``(-1)^swaps * prod
+    d_i^(-1/2)``, since the other column operations have det 1.  The form
+    a is held above C, as ``g = [a; C]``: subtracting the Schur complement
+    of a pivot from the trailing block of a and the matching column update
+    of C are one column operation on g, so each pivot makes one rank-1
+    update.  Eliminated rows and columns of a are never read again.
     """
     checked = isinstance(b, FiberElement) and b.klass == "symmetric"
     b = as_square_matrix(b)
@@ -327,6 +328,7 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     if not (checked or is_symmetric(b, tol)):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     g = np.vstack((0.5 * (b + b.T), np.eye(n)))
+    swaps = 0
     for i in range(n):
         t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
         j = int(np.argmax(np.abs(t.diagonal())))
@@ -339,10 +341,10 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
             j, q = divmod(int(np.argmax(sub)), n - i)
             t[:, j] += t[:, q]
             t[j] += t[q]
-        _swap(t, 0, j)
+        swaps += _swap(t, 0, j)
         t[1:, 1:] -= np.outer(t[1:, 0], t[0, 1:] / t[0, 0])
-    c = g[n:] / np.sqrt(g.diagonal())
-    det = complex(np.linalg.det(c))
+    root = np.sqrt(g.diagonal())
+    c, det = g[n:] / root, (-1) ** swaps / complex(np.prod(root))
     if not near_one(det, tol):
         if not near_one(-det, tol):
             raise NotInFiber(f"det(C) = {det:.6g}; input determinant is not 1")
