@@ -364,14 +364,15 @@ def _skew_elimination(b: np.ndarray, tol: ToleranceConfig):
     if not is_symmetric(b, tol, skew=True):
         raise NotSkewSymmetric("matrix is not skew-symmetric within tolerance")
     g = np.vstack((0.5 * (b - b.T), np.eye(n)))
+    upper = ~np.tri(n, dtype=bool)  # the strict upper triangle, where pivots are taken
     pf = 1.0 + 0.0j
     for i in range(0, n, 2):
         t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
-        p, q = divmod(int(np.argmax(np.abs(t[: n - i]))), n - i)
+        p, q = divmod(int(np.argmax(np.abs(t[: n - i]) * upper[i:, i:])), n - i)
         if abs(t[p, q]) <= tol.tol_zero * scale:
             raise SingularInput("skew form is singular")
-        q = p if q == 0 else q  # q may have been moved by the first swap
-        # the sign of Pf flips once per swap that moves something
+        # q > p, so the first swap leaves column q in place; the sign of Pf
+        # flips once per swap that moves something
         odd = _swap(t, 0, p) != _swap(t, 1, q)
         x = t[0, 1]
         pf *= -x if odd else x
@@ -386,14 +387,15 @@ def normalize_skew_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Return C with ``C^T B C = J`` for skew invertible B with Pf 1.
 
     Skew congruence elimination builds the interleaved 2x2 blocks of
-    :func:`jn`: pivot a maximal entry x into each (2i-1, 2i) slot, subtract
-    the Schur complement of the block P = [[0, x], [-x, 0]], and scale the
-    block's columns of C by x^(-1/2).  As in
-    :func:`diagonalize_quadratic_form`, ``g = [a; C]`` takes the Schur
-    complement and the update of C together, in one rank-2 update per
-    pivot.  A skew FiberElement hands over the C of the elimination that
-    decided its membership; a raw array is decided by det C = 1 / Pf off
-    the pivots.
+    :func:`jn`: pivot a maximal entry x of the strict upper triangle (so
+    that rounding cannot choose between x and its mirror) into each
+    (2i-1, 2i) slot, subtract the Schur complement of the block
+    P = [[0, x], [-x, 0]], and scale the block's columns of C by x^(-1/2).
+    As in :func:`diagonalize_quadratic_form`, ``g = [a; C]`` takes the
+    Schur complement and the update of C together, in one rank-2 update
+    per pivot.  A skew FiberElement hands over the C of the elimination
+    that decided its membership; a raw array is decided by det C = 1 / Pf
+    off the pivots.
     """
     if isinstance(b, FiberElement) and b.klass == "skew":
         return b._skew_form[0].copy()
