@@ -135,9 +135,90 @@ class TestIdentifySkew:
         assert undress_skew(numlin.haar_sample(5, "sym_fiber", rng)) is None
 
 
+def _eigvals_first_clusters(w_mat):
+    """The eigen-clusters of undressing as they were before the norm-growth
+    screen: the unit-modulus gate decided on np.linalg.eigvals, then on the
+    eigenvalues of np.linalg.eig, which runs only when the first passes."""
+    def off_unit(vals):
+        return np.max(np.abs(np.abs(vals) - 1.0)) > milnor._UNDRESS_GATE
+
+    if off_unit(np.linalg.eigvals(w_mat)):
+        return None
+    vals, vecs = np.linalg.eig(w_mat)
+    if off_unit(vals):
+        return None
+    order = np.argsort(np.angle(vals), kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    ang = np.angle(vals)
+    groups = [[0]]
+    for i in range(1, len(vals)):
+        if ang[i] - ang[groups[-1][-1]] < milnor._UNDRESS_GATE:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if len(groups) > 1 and (ang[groups[0][0]] + 2 * np.pi) - ang[groups[-1][-1]] < milnor._UNDRESS_GATE:
+        groups[-1].extend(groups.pop(0))
+    return [vecs[:, g] for g in groups]
+
+
+def _dressed_planted(klass, n, count, seed):
+    """``count`` dressed planted points of random symbols of the class at n."""
+    rng = np.random.default_rng(seed)
+    top = n // 2 if klass == "skew" else n
+    for _ in range(count):
+        lines = rng.choice(np.arange(2, top + 1), int(rng.integers(1, top)), replace=False)
+        sym = SchubertSymbol(tuple(sorted(int(m) for m in lines)), n, klass)
+        yield fiber_sample(sym, int(rng.integers(2**31)), dress=True)
+
+
+class TestNormGrowthScreen:
+    """Undressing rules a point out by the norm growth of sigma(B)^-1 B
+    before any eigen-solve, and otherwise undresses it as the eigen-solve
+    alone did."""
+
+    @staticmethod
+    def _both(monkeypatch, b, klass):
+        got = milnor._undress(b, klass, DEFAULT_TOL)
+        with monkeypatch.context() as m:
+            m.setattr(milnor, "_unit_eig_clusters", _eigvals_first_clusters)
+            want = milnor._undress(b, klass, DEFAULT_TOL)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        return got is not None
+
+    @pytest.mark.parametrize("klass,sample", [("symmetric", "sym_fiber"), ("skew", "skew_fiber")])
+    def test_haar_points_undress_as_before(self, monkeypatch, klass, sample):
+        hits = sum(self._both(monkeypatch, numlin.haar_sample(n, sample, seed), klass)
+                   for n in (4, 6, 8) for seed in range(200))
+        assert hits > 0  # some small Haar points really undress, and still do
+
+    @pytest.mark.parametrize("klass", ["symmetric", "skew"])
+    def test_dressed_planted_points_undress_as_before(self, monkeypatch, klass):
+        hits = [self._both(monkeypatch, b, klass)
+                for n in range(12, 33, 4) for b in _dressed_planted(klass, n, 6, n)]
+        # one dressed skew point at n = 32 has an eigen-cluster without a
+        # j-paired basis, with the eigen-solve alone too
+        assert sum(hits) == len(hits) - (klass == "skew")
+
+    @pytest.mark.parametrize("klass,sample", [("symmetric", "sym_fiber"), ("skew", "skew_fiber")])
+    def test_haar_points_make_no_eigen_solve(self, monkeypatch, klass, sample):
+        calls = []
+        for name in ("eig", "eigvals"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, name=name, fn=fn: calls.append(name) or fn(m))
+        for n in (8, 16, 32):
+            b = numlin.haar_sample(n, sample, n)
+            with np.errstate(over="raise", invalid="raise"):
+                assert milnor._undress(b, klass, DEFAULT_TOL) is None
+            identify(b, klass)
+        assert calls == []
+
+
 class TestSpectrumBeforeEigenvectors:
-    """Undressing decides the unit-modulus gate on the eigenvalues before it
-    computes eigenvectors."""
+    """Undressing computes eigenvectors only for a point that passes the
+    norm-growth screen."""
 
     @pytest.mark.parametrize("klass,sample,entries",
                              [("symmetric", "sym_fiber", (2, 4)), ("skew", "skew_fiber", (2, 3))])
@@ -323,7 +404,7 @@ class TestValidateOnce:
         ("general", "haar"): (2, 1),
         ("symmetric", "compact"): (1, 1),
         ("symmetric", "dressed"): (3, 2),
-        ("symmetric", "haar"): (4, 2),
+        ("symmetric", "haar"): (3, 2),
         ("skew", "compact"): (1, 2),
         ("skew", "dressed"): (2, 2),
         ("skew", "haar"): (2, 2),
@@ -370,6 +451,36 @@ class TestValidateOnce:
         assert undressed == (self.UNDRESSED[tier] if klass != "general" else [])
         if tier != "haar":
             assert cid.symbol.entries == self.TOPS[klass]
+
+
+class TestOneEliminationPerInput:
+    """The symmetric normalizer reads det C off its pivots, and a skew input
+    is eliminated once, for membership and normalization together, unless
+    it is compact."""
+
+    def test_symmetric_fallback_det_calls(self, monkeypatch):
+        b, calls = numlin.haar_sample(8, "sym_fiber", 3), []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(1) or det(m))
+        identify(b, "symmetric")
+        assert len(calls) == 3  # the input, C^-1 in the Iwasawa split, the engine's model gate
+
+    @pytest.mark.parametrize("tier,eliminations", [("compact", 0), ("dressed", 1), ("haar", 1)])
+    def test_skew_eliminations(self, monkeypatch, tier, eliminations):
+        calls = []
+        elim = numlin._skew_elimination
+        monkeypatch.setattr(numlin, "_skew_elimination",
+                            lambda *args, **kw: calls.append(1) or elim(*args, **kw))
+        if tier == "haar":
+            b = numlin.haar_sample(8, "skew_fiber", 1)
+        else:
+            b = fiber_sample(SchubertSymbol((2, 4), 8, "skew"), 1, dress=tier == "dressed")
+        want = identify(b, "skew")
+        assert len(calls) == eliminations
+        monkeypatch.setattr(numlin, "_skew_elimination", elim)
+        got = identify(b, "skew")
+        assert np.array_equal(got.compact_part, want.compact_part)
+        assert np.array_equal(got.witness, want.witness)
 
 
 class TestOtherClassElement:

@@ -215,6 +215,76 @@ class TestNormalizers:
             numlin.normalize_skew_form(skew)
 
 
+class TestSkewElimination:
+    """One skew elimination serves membership and normalization: Pf read off
+    its pivots, and C kept by the FiberElement."""
+
+    def test_pfaffian_off_the_pivots(self):
+        """Both eliminations err by up to n u cond(B) (u the unit roundoff);
+        Haar skew points at n = 32 have cond(B) up to about 3e6."""
+        for n in range(2, 33, 2):
+            for seed in range(10):
+                b = numlin.haar_sample(n, "skew_fiber", seed)
+                _, pf = numlin._skew_elimination(b, DEFAULT_TOL)
+                bound = n * np.finfo(float).eps * np.linalg.cond(b)
+                assert abs(pf - numlin.pfaffian(b)) <= bound, (n, seed)
+
+    def test_membership_as_pfaffian_decides_it_at_large_n(self):
+        """The elimination's Pf strays further from 1 than pfaffian's at
+        n >= 56, so pfaffian confirms each rejection: FiberElement accepts
+        a skew Haar point exactly when pfaffian's Pf passes near_one."""
+        for n, seeds in ((56, range(8)), (64, range(4))):
+            for seed in seeds:
+                b = numlin.haar_sample(n, "skew_fiber", seed)
+                try:
+                    numlin.FiberElement(b, "skew")
+                    accepted = True
+                except NotInFiber:
+                    accepted = False
+                assert accepted == numlin.near_one(numlin.pfaffian(b)), (n, seed)
+
+    def test_pivots_in_the_strict_upper_triangle(self, monkeypatch):
+        swaps = []
+        swap = numlin._swap
+        monkeypatch.setattr(numlin, "_swap", lambda t, p, q: swaps.append(q) or swap(t, p, q))
+        for n in (4, 8, 16):
+            for seed in range(10):
+                swaps.clear()
+                numlin.normalize_skew_form(numlin.haar_sample(n, "skew_fiber", seed))
+                rows, cols = swaps[::2], swaps[1::2]  # each block swaps row p to 0, then q to 1
+                assert len(cols) == n // 2 and all(q > p for p, q in zip(rows, cols)), (n, seed)
+
+    def test_element_hands_over_its_c(self, rng):
+        b = numlin.haar_sample(8, "skew_fiber", rng)
+        elem = numlin.FiberElement(b, "skew")
+        c = numlin.normalize_skew_form(elem)
+        assert np.array_equal(c, numlin.normalize_skew_form(b))
+        c[:] = 0  # a copy: the element's C is unchanged
+        assert np.array_equal(numlin.normalize_skew_form(elem), numlin.normalize_skew_form(b))
+
+    def test_compact_element_is_normalized_too(self):
+        j = numlin.jn(3)
+        assert np.array_equal(numlin.normalize_skew_form(numlin.FiberElement(j, "skew")),
+                              numlin.normalize_skew_form(j))
+
+    def test_non_members(self):
+        skew = numlin.haar_sample(4, "skew_fiber", 0)
+        singular = np.zeros((4, 4), dtype=complex)
+        singular[:2, :2] = 2 * numlin.jn(1)
+        cases = [
+            (numlin.haar_sample(3, "sl", 0), OddDimension),
+            (numlin.haar_sample(4, "sl", 0), NotSkewSymmetric),
+            (singular, SingularInput),
+            (np.sqrt(2) * skew, NotInFiber),  # Pf = 2
+        ]
+        for b, raw_error in cases:
+            assert not numlin.is_unitary(b)  # the elimination decides membership
+            with pytest.raises(NotInFiber):
+                numlin.FiberElement(b, "skew")
+            with pytest.raises(raw_error):
+                numlin.normalize_skew_form(b)
+
+
 class TestQuadraticForm:
     def test_identity(self):
         c = numlin.diagonalize_quadratic_form(np.eye(3))
