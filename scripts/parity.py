@@ -4,12 +4,13 @@
 The operations of ``build_planted`` and ``build_generic`` in
 ``perfbench/workloads.py`` are built for each seed and run in order.  Each
 prints one line: the workload and group (class, n), then either the symbol,
-the boundary flag and a sha256 of the bytes of the residual, the compact
-part, the witness and every factor (angle and axis), or the type of the
-exception raised.  Two checkouts are in parity when their outputs are
-byte-identical (``cmp``).  The inputs come from each checkout's own
-samplers, so a change to a sampler shows up as a difference too.  The
-benchmark is only read.  Run from the root of a checkout:
+the boundary flag and a sha256 of the bytes of the residual, the
+factorization's residual (``factorization_residual`` in the JSON report),
+the compact part, the witness and every factor (angle and axis), or the
+type of the exception raised.  Two checkouts are in parity when their
+outputs are byte-identical (``cmp``).  The inputs come from each
+checkout's own samplers, so a change to a sampler shows up as a difference
+too.  The benchmark is only read.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/parity.py --seeds 1 2 3 > parity.txt
 """
@@ -29,6 +30,7 @@ def fingerprint(cid) -> str:
     """The symbol, the flag and a sha256 of every array the result holds."""
     h = hashlib.sha256()
     h.update(np.float64(cid.residual).tobytes())
+    h.update(np.float64(cid.factorization.residual).tobytes())
     for a in (cid.compact_part, cid.witness):
         h.update(np.ascontiguousarray(a, dtype=np.complex128).tobytes())
     for f in cid.factorization.all_factors():
