@@ -49,6 +49,7 @@ from .errors import (
 from .numlin import (
     FiberElement,
     as_square_matrix,
+    fro_norm,
     haar_sample,
     jn,
 )
@@ -63,6 +64,7 @@ from .rotor import (
     model_element,
     product_matrix,
     sigma,
+    _sigma,
 )
 from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
 
@@ -147,12 +149,7 @@ class OrderedFactorization:
         return product_matrix(self.all_factors(), self.ambient)
 
     def matrix(self) -> np.ndarray:
-        p = self.left_product()
-        if self.klass == "general":
-            return p
-        if self.klass == "symmetric":
-            return p @ p.T
-        return p @ sigma(p.conj().T, "skew")
+        return _model_matrix(self.left_product(), self.klass)
 
     def min_indices(self, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
         axes = np.array([f.axis for f in self.factors]).reshape(len(self.factors), self.ambient)
@@ -167,16 +164,22 @@ class OrderedFactorization:
         return SchubertSymbol(entries, self.ambient, self.klass)
 
 
+def _model_matrix(p: np.ndarray, klass: str) -> np.ndarray:
+    """The class's matrix of the plain product P of the factors: P, P P^T,
+    or P sigma(P*)."""
+    if klass == "general":
+        return p
+    if klass == "symmetric":
+        return p @ p.T
+    return p @ _sigma(p.conj().T, "skew")
+
+
 def _split_correction(
     work: list[PseudoRotation], tol: ToleranceConfig
 ) -> tuple[Optional[PseudoRotation], list[PseudoRotation]]:
     if work and work[0].min_index(tol) == 1:
         return PseudoRotation.of_canonical(work[0].theta, _e1(work[0].n)), work[1:]
     return None, work
-
-
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(np.vdot(v, v).real)
 
 
 def _peel_rows(
@@ -195,7 +198,7 @@ def _peel_rows(
     axis is snapped before its rank-1 update, which touches only the rows
     not yet read and the columns of the factor's support.
     """
-    n = w.shape[0]
+    n, angle, snap = w.shape[0], tol.tol_angle, tol.axis_snap
     w = w.copy()
     gray = False
     # entry j-1 holds the factor read off row j, if any
@@ -203,13 +206,13 @@ def _peel_rows(
     for j in range(n, 1, -1):
         dev = -np.conj(w[j - 1, :j])
         dev[j - 1] += 1.0
-        d = _norm(dev)
-        gray = gray or in_gray_zone(d, tol.tol_angle)
-        if d < tol.tol_angle:
+        d = math.sqrt(np.vdot(dev, dev).real)
+        gray = gray or in_gray_zone(d, angle)
+        if d < angle:
             continue
         read[j - 1] = True
         x = dev / d
-        gray = gray or in_gray_zone(abs(x[j - 1]), tol.axis_snap, span=4.0)
+        gray = gray or in_gray_zone(abs(x[j - 1]), snap, span=4.0)
         # row r carries conj(1 - e^(i theta)) conj(x_r) x while it is a
         # multiple of x; fit conj(1 - e^(i theta)) over those rows
         num, den = x[j - 1] * d, abs(x[j - 1]) ** 2
@@ -217,21 +220,22 @@ def _peel_rows(
             dr = -np.conj(w[r - 1, :j])
             dr[r - 1] += 1.0
             cr = np.vdot(x, dr)
-            if _norm(dr - cr * x) >= tol.tol_angle:
+            dr -= cr * x
+            if math.sqrt(np.vdot(dr, dr).real) >= angle:
                 break
             num += x[r - 1] * cr
             den += abs(x[r - 1]) ** 2
         if not den:
             raise ConvergenceFailure(f"row {j} deviates by {d:.3g} off its zero pivot")
         thetas[j - 1] = -cmath.phase(1.0 - num / den)
-        x *= np.abs(x) > tol.axis_snap  # x is a unit vector
-        x /= _norm(x)
+        x *= np.abs(x) > snap  # x is a unit vector
+        x /= math.sqrt(np.vdot(x, x).real)
         axes[j - 1, :j] = x
         rows = w[: j - 1, :j]
         rows -= ((rows @ x) * (1.0 - cmath.exp(-1j * thetas[j - 1])))[:, None] * x.conj()
     thetas, axes = thetas[read], canonical_axis(axes[read], tol)
     phi = float(np.angle(w[0, 0]))
-    gray = gray or in_gray_zone(phi, tol.tol_angle)
+    gray = gray or in_gray_zone(phi, angle)
     return thetas, axes, min_indices(axes, tol).tolist(), phi, gray
 
 
@@ -291,18 +295,14 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     if any(y <= x for x, y in zip(mins, mins[1:])):
         raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
     profile, profile_gray = _rank_profile(w, tol)
-    fact = OrderedFactorization(
-        klass="general",
-        order="increasing",
-        ambient=n,
-        factors=tuple(map(PseudoRotation.of_canonical, thetas, axes)),
-        correction=PseudoRotation.of_canonical(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None,
-        boundary_ambiguous=gray or profile_gray or profile != mins,
-    )
-    residual = float(np.linalg.norm(fact.matrix() - b))
+    factors = tuple(map(PseudoRotation.of_canonical, thetas, axes))
+    correction = PseudoRotation.of_canonical(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None
+    p = product_matrix(factors if correction is None else [correction, *factors], n)
+    residual = fro_norm(p - b)
     if residual > tol.structure * n:
         raise ConvergenceFailure(f"reconstruction residual {residual:.3g} too large")
-    return replace(fact, residual=residual)
+    return OrderedFactorization("general", "increasing", n, factors, correction, residual,
+                                gray or profile_gray or profile != mins)
 
 
 def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -384,7 +384,8 @@ def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -
     """``||A_(theta_x, x) - A_(theta_y, y)||_F`` for unit x, y in O(n): the two
     rank-1 terms restricted to span(x, y), where y = c x + s e, e a unit vector."""
     c = complex(np.vdot(x, y))
-    s, c2 = _norm(y - c * x), abs(c) ** 2
+    e = y - c * x
+    s, c2 = math.sqrt(np.vdot(e, e).real), abs(c) ** 2
     alpha, beta = 1.0 - cmath.exp(1j * theta_x), 1.0 - cmath.exp(1j * theta_y)
     return math.sqrt(abs(beta * c2 - alpha) ** 2 + abs(beta) ** 2 * s * s * (2.0 * c2 + s * s))
 
@@ -414,16 +415,16 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
         raise StructureViolation(f"odd factor count {len(work)}")
     thetas = np.array([f.theta for f in work]) / (2.0 if klass == "symmetric" else 1.0)
     axes = np.array([f.axis for f in work], dtype=np.complex128).reshape(len(work), n)
-    imag = np.zeros(len(work))
+    imag, snap = np.zeros(len(work)), tol.axis_snap
     for i in range(0, len(work), step):
         x = axes[i]
         if klass == "symmetric":
             p = x[np.argmax(np.abs(x))]
             x = x * (p.conjugate() / abs(p))
-            imag[i] = _norm(x.imag)
+            imag[i] = math.sqrt(np.vdot(x.imag, x.imag).real)
             x = x.real
-        x = x * (np.abs(x) > tol.axis_snap * _norm(x))
-        axes[i] = x = x / _norm(x)
+        x = x * (np.abs(x) > snap * math.sqrt(np.vdot(x, x).real))
+        axes[i] = x = x / math.sqrt(np.vdot(x, x).real)
         rest = axes[i + step :]
         rest -= ((rest @ x.conj()) * (1.0 - cmath.exp(-1j * thetas[i])))[:, None] * x
     bad = imag[imag > 100.0 * tol.tol_residual]
@@ -443,12 +444,12 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
                 raise StructureViolation(f"j-partner deviates by {gap:.3g}")
     halves = list(map(PseudoRotation.of_canonical, thetas[::step], axes[::step]))
     correction, factors = _split_correction(halves, tol)
-    fact = OrderedFactorization(klass, "increasing", n, tuple(factors), correction,
-                                boundary_ambiguous=dec.boundary_ambiguous)
-    residual = float(np.linalg.norm(fact.matrix() - b))
+    p = product_matrix(factors if correction is None else [correction, *factors], n)
+    residual = fro_norm(_model_matrix(p, klass) - b)
     if residual > tol.structure * n:
         raise ConvergenceFailure(f"{klass} reconstruction residual {residual:.3g}")
-    return replace(fact, residual=residual)
+    return OrderedFactorization(klass, "increasing", n, tuple(factors), correction, residual,
+                                dec.boundary_ambiguous)
 
 
 def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:

@@ -47,6 +47,7 @@ from .numlin import (
     FiberElement,
     as_square_matrix,
     diagonalize_quadratic_form,
+    fro_norm,
     is_solvable_factor,
     is_unitary,  # noqa: F401  (a lookup point of perfbench/tracer.py)
     iwasawa_split,
@@ -56,7 +57,7 @@ from .numlin import (
     real_solvable_sample,
     solvable_sample,
 )
-from .rotor import jmul, sigma
+from .rotor import _sigma, jmul
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -87,8 +88,8 @@ class CellIdentification:
     @classmethod
     def of(cls, fact: OrderedFactorization, compact, witness, b, tol) -> "CellIdentification":
         """The identification of ``b`` by ``fact``, with its residual."""
-        cid = cls(fact.symbol(tol), compact, witness, 0.0, fact.boundary_ambiguous, fact)
-        return replace(cid, residual=float(np.linalg.norm(cid.reconstruction() - b)))
+        residual = fro_norm(_compose(compact, witness, fact.klass) - b)
+        return cls(fact.symbol(tol), compact, witness, residual, fact.boundary_ambiguous, fact)
 
     def reconstruction(self) -> np.ndarray:
         return _compose(self.compact_part, self.witness, self.symbol.klass)
@@ -119,10 +120,10 @@ def _unit_eig_clusters(w_mat: np.ndarray):
     it, so the squaring never overflows, and a NaN fails it.
     """
     powers = accumulate(range(6), lambda p, _: p @ p, initial=w_mat)  # lazily, as all() reads them
-    if not all(np.linalg.norm(p) <= len(p) ** 0.5 * _KAPPA_MAX for p in powers):
+    if not all(fro_norm(p) <= len(p) ** 0.5 * _KAPPA_MAX for p in powers):
         return None
     vals, vecs = np.linalg.eig(w_mat)
-    if np.max(np.abs(np.abs(vals) - 1.0)) > _UNDRESS_GATE:
+    if np.abs(np.abs(vals) - 1.0).max() > _UNDRESS_GATE:
         return None
     order = np.argsort(np.angle(vals), kind="stable")
     vals, vecs = vals[order], vecs[:, order]
@@ -157,8 +158,8 @@ def _j_paired_basis(x: np.ndarray):
         if basis:
             bmat = np.column_stack(basis)
             w = w - bmat @ np.linalg.lstsq(bmat, w, rcond=None)[0]
-        if np.linalg.norm(w) >= _UNDRESS_GATE:
-            w = w / np.linalg.norm(w)
+        if fro_norm(w) >= _UNDRESS_GATE:
+            w = w / fro_norm(w)
             basis += [w, -jmul(w)]
     return np.column_stack(basis) if len(basis) == x.shape[1] else None
 
@@ -172,7 +173,7 @@ def _chol_witness(v: np.ndarray) -> np.ndarray:
 
 def _spd_inv_quarter(blk: np.ndarray) -> np.ndarray:
     w, q = np.linalg.eigh(0.5 * (blk + blk.conj().T))
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise np.linalg.LinAlgError("scale correction block not positive")
     return q @ np.diag(w ** -0.25) @ q.conj().T
 
@@ -212,7 +213,7 @@ def _undress(b, klass: str, tol: ToleranceConfig):
     n = b.shape[0]
     skew = klass == "skew"
     try:
-        clusters = _unit_eig_clusters(np.linalg.inv(sigma(b, klass)) @ b)
+        clusters = _unit_eig_clusters(np.linalg.inv(_sigma(b, klass)) @ b)
         if clusters is None:
             return None
         blocks = []
@@ -231,8 +232,8 @@ def _undress(b, klass: str, tol: ToleranceConfig):
         compact = einv.T @ b @ einv
     except (np.linalg.LinAlgError, OddDimension):  # sigma refuses an odd skew input
         return None
-    scale = max(1.0, float(np.linalg.norm(b)))
-    return (compact, e) if np.linalg.norm(e.T @ compact @ e - b) <= tol.structure * scale else None
+    scale = max(1.0, fro_norm(b))
+    return (compact, e) if fro_norm(e.T @ compact @ e - b) <= tol.structure * scale else None
 
 
 def undress_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL):
@@ -270,7 +271,7 @@ def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentificat
 
     if elem.unitary:
         return peel(mat, np.eye(n, dtype=np.complex128))
-    found = (undress_skew if skew else undress_symmetric)(mat, tol)
+    found = (undress_skew if skew else undress_symmetric)(elem, tol)
     if found is not None:
         with suppress(NotInModel):  # unless the engine's model gate refuses it
             return peel(*found)

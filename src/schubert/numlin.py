@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,20 @@ def as_square_matrix(b) -> np.ndarray:
     m = np.asarray(b, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise DimensionMismatch("matrix entries must be finite")
     return np.ascontiguousarray(m)
+
+
+def fro_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float or complex array, bit for bit: numpy's
+    own ravel in memory order, real and imaginary dots and square root,
+    without its argument handling."""
+    x = x.ravel(order="K")
+    if x.dtype.kind != "c":
+        return math.sqrt(x.dot(x))
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def hermitian_inner(x, y) -> complex:
@@ -67,17 +79,19 @@ def jn(n_half: int) -> np.ndarray:
     """The standard skew normal form on C^(2n): interleaved 2x2 blocks."""
     if n_half < 1:
         raise DimensionMismatch("need n >= 1")
-    j = np.zeros((2 * n_half, 2 * n_half), dtype=np.complex128)
-    for i in range(n_half):
-        j[2 * i, 2 * i + 1] = 1.0
-        j[2 * i + 1, 2 * i] = -1.0
+    n = 2 * n_half
+    j = np.zeros((n, n), dtype=np.complex128)
+    flat = j.reshape(-1)  # (2i, 2i + 1) and (2i + 1, 2i) are every (2n + 2)-th entry
+    flat[1 :: 2 * n + 2], flat[n :: 2 * n + 2] = 1.0, -1.0
     return j
 
 
 def is_unitary(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     b = as_square_matrix(b)
     n = b.shape[0]
-    return np.linalg.norm(b @ b.conj().T - np.eye(n)) <= tol.tol_residual * n
+    g = b @ b.conj().T
+    g.reshape(-1)[:: n + 1] -= 1.0  # B B* - I, the identity taken off the diagonal in place
+    return fro_norm(g) <= tol.tol_residual * n
 
 
 def check_unitary(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -90,9 +104,9 @@ def check_unitary(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
 
 def _form_scale(b: np.ndarray, tol: ToleranceConfig, skew: bool):
     """``max(1, ||b||)`` when ``b`` passes the form test, else None."""
-    scale = max(1.0, float(np.linalg.norm(b)))
+    scale = max(1.0, fro_norm(b))
     dev = b + b.T if skew else b - b.T
-    return scale if np.linalg.norm(dev) <= tol.tol_residual * scale else None
+    return scale if fro_norm(dev) <= tol.tol_residual * scale else None
 
 
 def is_symmetric(b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, skew: bool = False) -> bool:
@@ -128,7 +142,7 @@ class FiberElement:
                 # Pf is the more accurate at n >= 56, decides a compact input and a rejection
                 name, value = "Pf", None if self.unitary else self._skew_form[1]
                 if value is None or not near_one(value, self.tol):
-                    value = pfaffian(b, self.tol)
+                    value = pfaffian(self, self.tol)
             except (OddDimension, NotSkewSymmetric, SingularInput) as exc:
                 raise NotInFiber(str(exc)) from None
         else:
@@ -139,7 +153,7 @@ class FiberElement:
     @functools.cached_property
     def unitary(self) -> bool:
         """Whether the matrix is unitary (the compact tier), decided once."""
-        return is_unitary(self.matrix, self.tol)
+        return is_unitary(self, self.tol)
 
     @functools.cached_property
     def _skew_form(self) -> tuple:
@@ -193,8 +207,8 @@ def iwasawa_split(b, tol: ToleranceConfig = DEFAULT_TOL) -> IwasawaParts:
     n = b.shape[0]
     q, r = np.linalg.qr(b)
     diag = np.diag(r).copy()
-    scale = max(1.0, float(np.linalg.norm(b)))
-    if np.any(np.abs(diag) <= tol.tol_zero * scale):
+    scale = max(1.0, fro_norm(b))
+    if (np.abs(diag) <= tol.tol_zero * scale).any():
         raise SingularInput("Gram-Schmidt pivot below zero threshold")
     phases = diag / np.abs(diag)
     unitary = q * phases[np.newaxis, :]
@@ -211,7 +225,7 @@ def is_solvable_factor(e: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> boo
     if np.linalg.norm(np.tril(e, -1)) > tol.tol_residual * max(1.0, np.linalg.norm(e)):
         return False
     d = np.diag(e)
-    if np.any(d.real <= 0) or np.any(np.abs(d.imag) > tol.tol_residual * np.abs(d.real)):
+    if (d.real <= 0).any() or (np.abs(d.imag) > tol.tol_residual * np.abs(d.real)).any():
         return False
     return near_one(np.linalg.det(e), tol)
 

@@ -57,7 +57,7 @@ def min_indices(rows, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """:func:`min_index` of each row of a stack, in one pass."""
     rows = np.asarray(rows, dtype=np.complex128)
     norm = _row_norms(rows)
-    if np.any(norm <= tol.tol_zero):
+    if (norm <= tol.tol_zero).any():
         raise ZeroVector("min_index of a (near-)zero vector")
     big = np.abs(rows) > tol.tol_zero * norm
     if not big.any(axis=1).all():
@@ -66,11 +66,12 @@ def min_indices(rows, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _row_norms(rows: np.ndarray):
-    """Row norms as a column; one row is summed as np.linalg.norm sums a vector."""
+    """Row norms as a column, by np.linalg.norm's own arithmetic: one row is
+    summed as it sums a vector, a stack as it sums along an axis."""
     if len(rows) == 1:
         r = rows[0]
         return np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
-    return np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1, keepdims=True))
 
 
 def canonical_axis(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -309,7 +310,11 @@ def sigma(c, klass: str) -> np.ndarray:
     """Cartan involution of the given class: identity, entrywise
     conjugation, or J-twisted conjugation ``J conj(C) J^-1``."""
     check_class(klass)
-    m = as_square_matrix(c)
+    return _sigma(as_square_matrix(c), klass)
+
+
+def _sigma(m: np.ndarray, klass: str) -> np.ndarray:
+    """:func:`sigma` of a matrix that has passed the library boundary."""
     if klass == "general":
         return m.copy()
     if klass == "symmetric":
@@ -326,20 +331,16 @@ def model_element(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> FiberEle
     for the skew class with B J skew-symmetric.  Skips the checks a
     FiberElement has passed; any failure raises NotInModel."""
     check_class(klass)
-    not_in_model = NotInModel(f"matrix is not in the {klass} Cartan model")
     fiber = "symmetric" if klass == "symmetric" else "general"
     try:
         elem = FiberElement.of(b, fiber, tol)
+        m, n = elem.matrix, elem.matrix.shape[0]
+        if klass != "skew" or not n % 2 and is_symmetric(m @ jn(n // 2), tol, skew=True):
+            if elem.unitary:
+                return elem
     except NotInFiber:
-        raise not_in_model from None
-    m = elem.matrix
-    if klass == "skew":
-        n = m.shape[0]
-        if n % 2 or not is_symmetric(m @ jn(n // 2), tol, skew=True):
-            raise not_in_model
-    if not elem.unitary:
-        raise not_in_model
-    return elem
+        pass  # like every other failure, NotInModel, which is built only here
+    raise NotInModel(f"matrix is not in the {klass} Cartan model")
 
 
 def in_cartan_model(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -34,6 +34,52 @@ class TestHermitianInner:
         assert abs(numlin.hermitian_inner(x, y) - np.conj(numlin.hermitian_inner(y, x))) < 1e-14
 
 
+class TestFroNorm:
+    """The one Frobenius-norm kernel returns exactly what np.linalg.norm does."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_equals_numpy(self, n, dtype):
+        rng = np.random.default_rng(n)
+        big = rng.standard_normal((2 * n, 2 * n + 1)).astype(dtype)
+        if dtype is np.complex128:
+            big += 1j * rng.standard_normal(big.shape)
+        square = np.ascontiguousarray(big[:n, :n])
+        # C-contiguous, transposed, sliced, 1-D, and 1-D with a stride
+        for x in (square, square.T, big[::2, 1::2], big[0], big[1, ::2]):
+            assert numlin.fro_norm(x) == np.linalg.norm(x)
+
+    def test_zero_and_non_finite(self):
+        for x in (np.zeros((3, 3), complex), np.full(2, np.inf), np.array([np.nan, 1.0])):
+            assert np.array_equal(numlin.fro_norm(x), np.linalg.norm(x), equal_nan=True)
+
+
+class TestPerCallForms:
+    """The loop-free J and the in-place B B* - I give the bits they replace."""
+
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_jn_bytes(self, k):
+        ref = np.zeros((2 * k, 2 * k), dtype=np.complex128)
+        for i in range(k):
+            ref[2 * i, 2 * i + 1], ref[2 * i + 1, 2 * i] = 1.0, -1.0
+        assert numlin.jn(k).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 16, 32])
+    def test_is_unitary_decision(self, rng, n):
+        u = numlin.haar_sample(max(n, 2), "special_unitary", rng)[:n, :n]
+        g = numlin.haar_sample(max(n, 2), "sl", rng)[:n, :n]
+        for b in (u, u * (1 + 1e-10 * n), u * (1 + 1e-8), g):
+            want = np.linalg.norm(b @ b.conj().T - np.eye(n)) <= DEFAULT_TOL.tol_residual * n
+            assert numlin.is_unitary(b) == want
+
+    def test_boundary_rejects_non_finite(self):
+        for bad in (np.inf, -np.inf, np.nan, 1j * np.inf, 1j * np.nan):
+            m = np.eye(3, dtype=np.complex128)
+            m[1, 2] = bad
+            with pytest.raises(DimensionMismatch):
+                numlin.as_square_matrix(m)
+
+
 class TestIwasawa:
     def test_identity(self):
         parts = numlin.iwasawa_split(np.eye(3))

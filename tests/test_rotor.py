@@ -311,3 +311,49 @@ class TestCartan:
 
         with pytest.raises(NotInModel):
             rotor.cartan_conjugate(np.eye(2), 2 * np.eye(2), "symmetric")
+
+
+class TestRowNorms:
+    """Row norms take np.linalg.norm's own arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (2, 2), (3, 8), (16, 16), (31, 32)])
+    def test_equals_numpy(self, rng, k, n):
+        rows = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        got = rotor._row_norms(rows)
+        if k == 1:
+            assert got == np.linalg.norm(rows[0])
+        else:
+            assert np.array_equal(got, np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+class TestModelElement:
+    """Every failure of the model gate is NotInModel, built only when raised."""
+
+    def test_not_unitary(self):
+        from schubert.errors import NotInModel
+
+        for klass in ("general", "symmetric"):
+            with pytest.raises(NotInModel, match=f"not in the {klass} Cartan model"):
+                rotor.model_element(np.diag([2.0, 0.5]), klass)  # det 1, symmetric
+
+    def test_skew_odd_dimension(self, rng):
+        from schubert.errors import NotInModel
+
+        with pytest.raises(NotInModel, match="skew Cartan model"):
+            rotor.model_element(numlin.haar_sample(3, "special_unitary", rng), "skew")
+
+    def test_not_in_fiber(self, rng):
+        from schubert.errors import NotInModel
+
+        u = numlin.haar_sample(4, "special_unitary", rng)  # not symmetric
+        skew = np.diag([1j, 1, 1, 1])  # det i
+        for b, klass in ((1j * np.eye(2), "general"), (u, "symmetric"), (skew, "skew")):
+            with pytest.raises(NotInModel):
+                rotor.model_element(b, klass)
+
+    def test_model_point_passes(self, rng):
+        u = numlin.haar_sample(4, "special_unitary", rng)
+        for b, klass in ((u, "general"), (u @ u.T, "symmetric"),
+                         (u @ numlin.jn(2) @ u.T @ -numlin.jn(2), "skew")):
+            elem = rotor.model_element(b, klass)
+            assert elem.unitary and np.array_equal(elem.matrix, b)
