@@ -276,7 +276,8 @@ def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentificat
         with suppress(NotInModel):  # unless the engine's model gate refuses it
             return peel(*found)
     c = (normalize_skew_form if skew else diagonalize_quadratic_form)(elem, tol)
-    parts = iwasawa_split(np.linalg.inv(c), tol)
+    # det C = 1 is decided (off the normalizer's pivots), so C^-1 enters the split as validated
+    parts = iwasawa_split(FiberElement._trusted(np.linalg.inv(c), "general", tol), tol)
     u = parts.unitary
     cid = peel(u.T @ jn(n // 2) @ u if skew else u.T @ u, parts.solvable)
     return cid if found is None else replace(cid, boundary_ambiguous=True)

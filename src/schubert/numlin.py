@@ -169,6 +169,14 @@ class FiberElement:
         return b if isinstance(b, cls) and b.klass in passed else cls(b, klass, tol)
 
     @classmethod
+    def _trusted(cls, m: np.ndarray, klass: str, tol: ToleranceConfig) -> "FiberElement":
+        """An element of ``klass`` made without checks, for a finite square
+        complex128 ``m`` that the package has already shown to lie there."""
+        elem = object.__new__(cls)
+        elem.__dict__.update(matrix=m, klass=klass, tol=tol)
+        return elem
+
+    @classmethod
     def of_unitary(cls, b, tol: ToleranceConfig = DEFAULT_TOL) -> "FiberElement":
         """``FiberElement.of(b, "general", tol)`` for a ``b`` that must be
         unitary: NotUnitary comes before NotInFiber, and the answer is kept

@@ -404,10 +404,10 @@ class TestValidateOnce:
         ("general", "haar"): (2, 1),
         ("symmetric", "compact"): (1, 1),
         ("symmetric", "dressed"): (3, 2),
-        ("symmetric", "haar"): (3, 2),
+        ("symmetric", "haar"): (2, 2),
         ("skew", "compact"): (1, 2),
         ("skew", "dressed"): (2, 2),
-        ("skew", "haar"): (2, 2),
+        ("skew", "haar"): (1, 2),
     }
     TOPS = {"general": (2, 4, 7), "symmetric": (3, 5, 8), "skew": (2, 4)}
     HAAR = {"general": "sl", "symmetric": "sym_fiber", "skew": "skew_fiber"}
@@ -463,7 +463,14 @@ class TestOneEliminationPerInput:
         det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(1) or det(m))
         identify(b, "symmetric")
-        assert len(calls) == 3  # the input, C^-1 in the Iwasawa split, the engine's model gate
+        assert len(calls) == 2  # the input and the engine's model gate; C^-1 is not checked again
+
+    def test_skew_fallback_det_calls(self, monkeypatch):
+        b, calls = numlin.haar_sample(8, "skew_fiber", 3), []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(1) or det(m))
+        identify(b, "skew")
+        assert len(calls) == 1  # the engine's model gate; Pf off the elimination decides C^-1
 
     @pytest.mark.parametrize("tier,eliminations", [("compact", 0), ("dressed", 1), ("haar", 1)])
     def test_skew_eliminations(self, monkeypatch, tier, eliminations):
