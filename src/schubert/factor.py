@@ -63,7 +63,6 @@ from .rotor import (
     min_indices,
     model_element,
     product_matrix,
-    sigma,
     _sigma,
 )
 from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
@@ -419,7 +418,7 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     for i in range(0, len(work), step):
         x = axes[i]
         if klass == "symmetric":
-            p = x[np.argmax(np.abs(x))]
+            p = x[np.abs(x).argmax()]
             x = x * (p.conjugate() / abs(p))
             imag[i] = math.sqrt(np.vdot(x.imag, x.imag).real)
             x = x.real

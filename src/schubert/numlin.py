@@ -314,7 +314,7 @@ def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     pf = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         # pivot: largest entry in row k to the right of the diagonal
-        rel = int(np.argmax(np.abs(a[k, k + 1 :])))
+        rel = int(np.abs(a[k, k + 1 :]).argmax())
         jpiv = k + 1 + rel
         if abs(a[k, jpiv]) <= tol.tol_zero * scale:
             return 0.0 + 0.0j
@@ -353,20 +353,20 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     swaps = 0
     for i in range(n):
         t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
-        j = int(np.argmax(np.abs(t.diagonal())))
+        j = int(np.abs(t.diagonal()).argmax())
         if abs(t[j, j]) <= tol.tol_zero * scale:
             # all remaining diagonal entries vanish: create a pivot by a
             # row+column addition using the largest off-diagonal entry
             sub = np.abs(np.triu(t[: n - i], 1))
             if sub.max() <= tol.tol_zero * scale:
                 raise SingularInput("quadratic form is singular")
-            j, q = divmod(int(np.argmax(sub)), n - i)
+            j, q = divmod(int(sub.argmax()), n - i)
             t[:, j] += t[:, q]
             t[j] += t[q]
         swaps += _swap(t, 0, j)
         t[1:, 1:] -= np.outer(t[1:, 0], t[0, 1:] / t[0, 0])
     root = np.sqrt(g.diagonal())
-    c, det = g[n:] / root, (-1) ** swaps / complex(np.prod(root))
+    c, det = g[n:] / root, (-1) ** swaps / complex(root.prod())
     if not near_one(det, tol):
         if not near_one(-det, tol):
             raise NotInFiber(f"det(C) = {det:.6g}; input determinant is not 1")
@@ -390,7 +390,7 @@ def _skew_elimination(b: np.ndarray, tol: ToleranceConfig):
     pf = 1.0 + 0.0j
     for i in range(0, n, 2):
         t = g[i:, i:]  # t[:n - i] is the trailing block of a, t[n - i:] the columns i: of C
-        p, q = divmod(int(np.argmax(np.abs(t[: n - i]) * upper[i:, i:])), n - i)
+        p, q = divmod(int((np.abs(t[: n - i]) * upper[i:, i:]).argmax()), n - i)
         if abs(t[p, q]) <= tol.tol_zero * scale:
             raise SingularInput("skew form is singular")
         # q > p, so the first swap leaves column q in place; the sign of Pf

@@ -334,8 +334,8 @@ def model_element(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> FiberEle
     fiber = "symmetric" if klass == "symmetric" else "general"
     try:
         elem = FiberElement.of(b, fiber, tol)
-        m, n = elem.matrix, elem.matrix.shape[0]
-        if klass != "skew" or not n % 2 and is_symmetric(m @ jn(n // 2), tol, skew=True):
+        m = elem.matrix
+        if klass != "skew" or not len(m) % 2 and is_symmetric(m @ jn(len(m) // 2), tol, skew=True):
             if elem.unitary:
                 return elem
     except NotInFiber:
