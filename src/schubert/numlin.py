@@ -2,7 +2,8 @@
 
 Hermitian inner products, fiber membership (:class:`FiberElement` with its
 one entry ``FiberElement.of``, the one form test :func:`is_symmetric` and
-the one det = 1 / Pf = 1 decision :func:`near_one`), the Iwasawa (unitary *
+the one det = 1 / Pf = 1 decision :func:`near_one`), the Frobenius-norm
+kernel :func:`fro_norm` of the hot paths, the Iwasawa (unitary *
 solvable) splitting of determinant-one matrices, Pfaffians, congruence
 normalization of symmetric and skew-symmetric bilinear forms, and seeded
 random samplers for the matrix classes (one body for the solvable groups

@@ -37,12 +37,10 @@ class TestMatrixValidation:
 
     def test_rejects_nonfinite(self):
         bad = np.eye(2, dtype=complex)
-        bad[0, 1] = np.nan
-        with pytest.raises(DimensionMismatch):
-            as_square_matrix(bad)
-        bad[0, 1] = np.inf * 1j
-        with pytest.raises(DimensionMismatch):
-            as_square_matrix(bad)
+        for value in (np.nan, np.inf * 1j, np.inf, -np.inf, np.nan * 1j, complex(1.0, -np.inf)):
+            bad[0, 1] = value
+            with pytest.raises(DimensionMismatch):
+                as_square_matrix(bad)
 
     def test_accepts_views(self):
         m = np.eye(3, dtype=complex)
