@@ -4,8 +4,8 @@ Symbol enumeration and cell dimensions, exterior algebras on odd
 generators over Z and Z/2Z, the merge sign epsilon and the binomial sign
 beta, Kronecker and Poincare duals, the Hopf coproduct, homology products,
 intersection pairings, and the Poincare-polynomial cross-check data.  All
-arithmetic in this module is exact integer arithmetic; symbols are plain
-strictly increasing tuples of ints > 1.
+arithmetic in this module is exact integer arithmetic, in Python ints or in
+integer arrays; symbols are plain strictly increasing tuples of ints > 1.
 Class tags, symbol entries and sizes are each checked by one function;
 one table, ``_DIM_FORM``, gives the generator degrees 2m - 1, m and 4m - 3
 and the closed-form cell dimensions.
@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     InvalidSymbol,
@@ -358,20 +359,31 @@ def intersection_pairing_via_cup(m, mp, n: int) -> int:
     return c * ((-1) ** beta(nn))
 
 
+def _cell_dim_array(n: int, klass: str) -> np.ndarray:
+    """The 2^(n-1) cell dimensions in bit-mask order: entry i is the
+    dimension of the cell {m : bit m - 2 of i}.  Each generator m doubles
+    the prefix, appending the cells so far shifted by its degree."""
+    scale, shift = _DIM_FORM[klass]
+    dims = np.zeros(1 << (n - 1), dtype=np.int64)
+    for k, m in enumerate(range(2, n + 1)):
+        dims[1 << k: 2 << k] = dims[: 1 << k] + (scale * m - shift)
+    return dims
+
+
 def betti_table(n: int, klass: str = "general", ring: str = "Z") -> dict[int, int]:
     """Per-degree ranks of the Schubert-cycle homology basis: the number of
-    symbols of each cell dimension.
+    cells of each dimension, counted over one entry per cell.
 
-    ``ring`` is validated here and ``klass`` and ``n`` by
-    :func:`enumerate_symbols`, whose symbols are counted by the closed-form
-    dimensions of :func:`cell_dims`.  The symmetric class carries only
-    Z/2Z fundamental classes, so it requires ``ring="Z2"``.
+    ``ring``, then ``klass``, then ``n`` are validated.  The symmetric class
+    carries only Z/2Z fundamental classes, so it requires ``ring="Z2"``.
     """
     if ring not in RINGS:
         raise UnsupportedCoefficients(f"unknown ring {ring!r}")
     if klass == "symmetric" and ring != "Z2":
         raise UnsupportedCoefficients("symmetric Schubert cycles only carry Z/2Z classes")
-    return dict(sorted(Counter(cell_dims(n, klass)[1]).items()))
+    check_class(klass)
+    counts = np.bincount(_cell_dim_array(_check_size(n, 1), klass))
+    return {d: c for d, c in enumerate(counts.tolist()) if c}
 
 
 def expand_product(degrees) -> dict[int, int]:

@@ -181,6 +181,15 @@ class TestTables:
         out = run_cli("betti", "--class", "symmetric", "--n", "3", "--ring", "Z")
         assert out.returncode == 1
 
+    @pytest.mark.parametrize("klass", ["general", "symmetric", "skew"])
+    def test_betti_at_the_size_cap(self, capsys, klass):
+        from schubert import cli
+
+        assert cli.main(["betti", "--class", klass, "--n", "20"]) == 0
+        assert capsys.readouterr().out.endswith("verdict\tEQUAL\n")
+        assert cli.main(["betti", "--class", klass, "--n", "21"]) == 1
+        assert "above the cap" in capsys.readouterr().err
+
     def test_pair(self):
         out = run_cli("pair", "--n", "3", "--m", "2", "--m2", "3")
         assert out.stdout.strip() == "-1"

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -185,11 +186,32 @@ class TestBetti:
 
     @pytest.mark.parametrize("klass,ring", [("general", "Z"), ("symmetric", "Z2"), ("skew", "Z")])
     def test_poincare_check_sees_a_dropped_symbol(self, monkeypatch, klass, ring):
-        # the Betti table is counted over the enumeration, not derived from
-        # the product expansion it is checked against
-        enumerate_symbols = cohom.enumerate_symbols
-        monkeypatch.setattr(cohom, "enumerate_symbols", lambda n, k: enumerate_symbols(n, k)[1:])
+        # the Betti table is counted over one entry per cell, not derived
+        # from the product expansion it is checked against
+        cell_dim_array = cohom._cell_dim_array
+        monkeypatch.setattr(cohom, "_cell_dim_array", lambda n, k: cell_dim_array(n, k)[1:])
         assert cohom.betti_table(6, klass, ring) != cohom.poincare_polynomial(6, klass)
+
+    @pytest.mark.parametrize("klass", cohom.CLASSES)
+    def test_cell_dim_array_is_one_entry_per_cell(self, klass):
+        for n in range(1, 13):
+            dims = cohom._cell_dim_array(n, klass)
+            assert len(dims) == 2 ** (n - 1)
+            for i, d in enumerate(dims.tolist()):
+                assert d == cohom.cell_dim(tuple(m for m in range(2, n + 1) if i >> (m - 2) & 1), klass)
+            assert sorted(dims.tolist()) == sorted(cohom.cell_dims(n, klass)[1])
+
+    @pytest.mark.parametrize("klass,ring", [("general", "Z"), ("symmetric", "Z2"), ("skew", "Z")])
+    def test_memory_ceiling_at_the_cli_cap(self, klass, ring):
+        # the CLI's MAX_TABLE_N; a table of 2^19 symbol tuples peaks near 79 MiB
+        tracemalloc.start()
+        try:
+            table = cohom.betti_table(20, klass, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert sum(table.values()) == 2 ** 19
 
 
 class TestPoincareData:
