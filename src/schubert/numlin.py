@@ -170,9 +170,10 @@ class FiberElement:
         return b if isinstance(b, cls) and b.klass in passed else cls(b, klass, tol)
 
     @classmethod
-    def _trusted(cls, m: np.ndarray, klass: str, tol: ToleranceConfig) -> "FiberElement":
+    def _trusted(cls, m: np.ndarray, klass: str | None, tol: ToleranceConfig) -> "FiberElement":
         """An element of ``klass`` made without checks, for a finite square
-        complex128 ``m`` that the package has already shown to lie there."""
+        complex128 ``m`` that the package has already shown to lie there;
+        with ``klass`` None, ``m`` has passed only the boundary check."""
         elem = object.__new__(cls)
         elem.__dict__.update(matrix=m, klass=klass, tol=tol)
         return elem
@@ -181,7 +182,11 @@ class FiberElement:
     def of_unitary(cls, b, tol: ToleranceConfig = DEFAULT_TOL) -> "FiberElement":
         """``FiberElement.of(b, "general", tol)`` for a ``b`` that must be
         unitary: NotUnitary comes before NotInFiber, and the answer is kept
-        (an adjoint keeps it too)."""
+        (an adjoint keeps it too).  A raw ``b`` passes the boundary check
+        once and is held, in no class yet, for the unitarity check and the
+        det."""
+        if not isinstance(b, cls):
+            b = cls._trusted(as_square_matrix(b), None, tol)
         check_unitary(b, tol)
         elem = cls.of(b, "general", tol)
         elem.__dict__["unitary"] = True

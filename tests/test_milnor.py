@@ -452,6 +452,23 @@ class TestValidateOnce:
         if tier != "haar":
             assert cid.symbol.entries == self.TOPS[klass]
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_general_boundary_checks(self, monkeypatch, n):
+        # the input and the Iwasawa unitary part, each checked once
+        from schubert import factor, rotor, serialize
+
+        calls = []
+        check = numlin.as_square_matrix
+
+        def counted(b):
+            calls.append(not isinstance(b, FiberElement))
+            return check(b)
+
+        for module in (numlin, milnor, factor, rotor, serialize):
+            monkeypatch.setattr(module, "as_square_matrix", counted)
+        identify(numlin.haar_sample(n, "sl", n), "general")
+        assert sum(calls) == 2
+
 
 class TestOneEliminationPerInput:
     """The symmetric normalizer reads det C off its pivots, and a skew input
@@ -520,6 +537,14 @@ class TestPublicExceptions:
             getattr(factor, engine)(np.diag([2.0, 0.5]))
         with pytest.raises(NotInFiber):
             getattr(factor, engine)(np.diag([1j, 1.0]))
+
+    @pytest.mark.parametrize("engine", ["factorize_su", "factorize_decreasing"])
+    def test_not_unitary_comes_before_not_in_fiber(self, engine):
+        from schubert import factor
+        from schubert.errors import NotUnitary
+
+        with pytest.raises(NotUnitary):  # det 2 as well
+            getattr(factor, engine)(np.diag([2.0, 1.0]))
 
     def test_iwasawa_of_validated_input_is_bit_identical(self, rng):
         b = numlin.haar_sample(6, "sl", rng)
