@@ -36,8 +36,9 @@ EXIT_VERIFY = 5
 # verify.SUITES, repeated so that only `schubert verify` imports the suites
 SUITES = ("rotor", "factor", "milnor", "cohom", "all")
 
-# `cells` and `betti` hold all 2^(n-1) symbols in memory: at n = 18 that is
-# about 60 MB and 1.4 s, and every further step doubles both.
+# `cells` holds all 2^(n-1) symbol tuples in memory: at n = 18 that is about
+# 60 MB and 1.4 s, and every further step doubles both.  `betti` holds 2^(n-1)
+# integers, a peak of about 6 MiB at n = 20.
 MAX_TABLE_N = 20
 # `sample` and `verify` build dense complex matrices of this size at most;
 # the identification is exercised up to n = 32, and at n = 48-64 the fiber's
