@@ -2,10 +2,10 @@
 
 Symbol enumeration and cell dimensions, exterior algebras on odd
 generators over Z and Z/2Z, the merge sign epsilon and the binomial sign
-beta, Kronecker and Poincare duals, the Hopf coproduct, homology products,
-intersection pairings, and the Poincare-polynomial cross-check data.  All
-arithmetic in this module is exact integer arithmetic, in Python ints or in
-integer arrays; symbols are plain strictly increasing tuples of ints > 1.
+beta, Kronecker and Poincare duals, the Hopf coproduct, intersection
+pairings, and the Poincare-polynomial cross-check data.  All arithmetic in
+this module is exact integer arithmetic, in Python ints or in integer
+arrays; symbols are plain strictly increasing tuples of ints > 1.
 Class tags, symbol entries and sizes are each checked by one function;
 one table, ``_DIM_FORM``, gives the generator degrees 2m - 1, m and 4m - 3
 and the closed-form cell dimensions.
@@ -162,10 +162,6 @@ class ExtElement:
         return format_element(self)
 
 
-def ext_unit(ring: str = "Z") -> ExtElement:
-    return ExtElement({(): 1}, ring)
-
-
 def ext_monomial(m, coef: int = 1, ring: str = "Z") -> ExtElement:
     return ExtElement({check_entries(m): coef}, ring)
 
@@ -292,13 +288,6 @@ def coproduct_via_primitives(m) -> dict[tuple[Monomial, Monomial], int]:
         prod = tensor_mul(prod, coproduct((entry,)))
     return {(a, b): (-1) ** (beta(t) + beta(a) + beta(b)) * c
             for (a, b), c in prod.terms.items()}
-
-
-def homology_product(m, mp):
-    """Pontryagin product of Schubert classes: ``epsilon * merged`` for
-    disjoint symbols, None (the zero class) when they overlap."""
-    merged, sign = _merge_sign(check_entries(m), check_entries(mp))
-    return (sign, merged) if sign else None
 
 
 def full_symbol(n: int) -> Monomial:

@@ -14,12 +14,12 @@ the same min-indices with no fitted angle in between; when the two
 disagree or a rank is decided in its gray zone, the result is flagged
 boundary-ambiguous.  The symmetric and skew-symmetric Cartan models carry
 analogous unique factorizations, which one Cartan peel reads off the
-decreasing general factorization by iterated Cartan conjugation: one
-half-angle real-axis factor per step for the symmetric class, one
-quaternionic pair ``(A, sigma(A*))`` per step for the skew class, each
-axis read once and all canonicalised in one call when the peel ends.
-Order reversal conjugates each axis by the running product of the factors
-already passed.
+increasing factorization of B* = B^-1, inverted factor by factor, by
+iterated Cartan conjugation: one half-angle real-axis factor per step for
+the symmetric class, one quaternionic pair ``(A, sigma(A*))`` per step for
+the skew class, each axis read once and all canonicalised in one call when
+the peel ends.  Order reversal conjugates each axis by the running product
+of the factors already passed.
 
 The ``schubert_map*`` functions are the forward cell parametrizations;
 together with the factorization engines they form the round-trip oracles
@@ -57,6 +57,7 @@ from .rotor import (
     TAU,
     PseudoRotation,
     apply,  # noqa: F401  (a lookup point of perfbench/tracer.py)
+    canonical_angle,
     canonical_axis,
     jmul,
     min_index,
@@ -144,11 +145,8 @@ class OrderedFactorization:
             flat = flat + [self.correction] if self.order == "decreasing" else [self.correction] + flat
         return flat
 
-    def left_product(self) -> np.ndarray:
-        return product_matrix(self.all_factors(), self.ambient)
-
     def matrix(self) -> np.ndarray:
-        return _model_matrix(self.left_product(), self.klass)
+        return _model_matrix(product_matrix(self.all_factors(), self.ambient), self.klass)
 
     def min_indices(self, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
         axes = np.array([f.axis for f in self.factors]).reshape(len(self.factors), self.ambient)
@@ -391,7 +389,8 @@ def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -
 
 def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     """Increasing factorization of a symmetric or skew Cartan model element
-    by iterated Cartan conjugation, working up its decreasing factorization.
+    by iterated Cartan conjugation, working up the increasing factorization
+    of B* = B^-1 with each factor inverted.
 
     The symmetric class peels one factor at a time: it must be a real-axis
     rotation, and its half-angle square root C is split off.  The skew
@@ -408,11 +407,11 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     b = elem.matrix
     n = b.shape[0]
     step = 2 if klass == "skew" else 1
-    dec = factorize_decreasing(elem, tol)
-    work = dec.factors[::-1]
+    inc = factorize_su(elem.adjoint(), tol)
+    work = inc.all_factors()
     if len(work) % step != 0:
         raise StructureViolation(f"odd factor count {len(work)}")
-    thetas = np.array([f.theta for f in work]) / (2.0 if klass == "symmetric" else 1.0)
+    thetas = np.array([canonical_angle(-f.theta) for f in work]) / (2.0 if klass == "symmetric" else 1.0)
     axes = np.array([f.axis for f in work], dtype=np.complex128).reshape(len(work), n)
     imag, snap = np.zeros(len(work)), tol.axis_snap
     for i in range(0, len(work), step):
@@ -448,7 +447,7 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     if residual > tol.structure * n:
         raise ConvergenceFailure(f"{klass} reconstruction residual {residual:.3g}")
     return OrderedFactorization(klass, "increasing", n, tuple(factors), correction, residual,
-                                dec.boundary_ambiguous)
+                                inc.boundary_ambiguous)
 
 
 def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -474,17 +473,15 @@ def _pad_line(line, m: int, n: int) -> np.ndarray:
     v = np.asarray(line, dtype=np.complex128)
     if v.ndim != 1:
         raise DimensionMismatch("cell line must be a vector")
-    if len(v) == m:
-        v = np.concatenate([v, np.zeros(n - m, dtype=np.complex128)])
-    elif len(v) == n:
-        if min_index(v) > m:
-            raise DimensionMismatch(f"line is not inside C^{m}")
-    else:
+    if len(v) not in (m, n):
         raise DimensionMismatch(f"line length {len(v)} matches neither {m} nor {n}")
-    nrm = float(np.linalg.norm(v))
+    padded = np.concatenate([v, np.zeros(n - len(v), dtype=np.complex128)])
+    nrm = float(np.linalg.norm(padded))
     if nrm <= DEFAULT_TOL.tol_zero:
         raise DimensionMismatch("cell line is zero")
-    return v / nrm
+    if len(v) > m and min_index(v) > m:
+        raise DimensionMismatch(f"line is not inside C^{m}")
+    return padded / nrm
 
 
 def _cell_rotations(symbol: SchubertSymbol, params, klass: str, scale: float) -> list[PseudoRotation]:

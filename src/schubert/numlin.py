@@ -9,7 +9,7 @@ normalization of symmetric and skew-symmetric bilinear forms, and seeded
 random samplers for the matrix classes (one body for the solvable groups
 over C, R and H).  The factorization engines do not diagonalize: they read
 factors off row by row (see :mod:`schubert.factor`).  ``eig_unitary``
-remains an exported kernel of the package.
+stays because the benchmark's tracer looks it up.
 
 Conventions:
   * the Hermitian form is ``<x, y> = x^T conj(y)`` (column vectors);

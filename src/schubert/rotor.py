@@ -26,8 +26,7 @@ from .errors import (
     ZeroVector,
 )
 from .cohom import check_class
-from .numlin import (FiberElement, as_square_matrix, check_unitary, hermitian_inner, is_symmetric,
-                     is_unitary, jn)
+from .numlin import FiberElement, as_square_matrix, hermitian_inner, is_symmetric, is_unitary, jn
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 TAU = 2.0 * math.pi
@@ -105,13 +104,16 @@ class PseudoRotation:
 
     The angle is stored in (-pi, pi] and the axis is the canonical unit
     representative of its line (min-index coordinate real positive); both
-    canonicalizations leave the operator unchanged.
+    canonicalizations leave the operator unchanged.  A non-finite angle is
+    refused.
     """
 
     theta: float
     axis: np.ndarray
 
     def __post_init__(self) -> None:
+        if not math.isfinite(float(self.theta)):
+            raise PreconditionViolated(f"rotation angle {self.theta!r} is not finite")
         object.__setattr__(self, "theta", canonical_angle(self.theta))
         object.__setattr__(self, "axis", canonical_axis(self.axis))
 
@@ -140,12 +142,6 @@ class PseudoRotation:
     def inverse(self) -> "PseudoRotation":
         return PseudoRotation.of_canonical(-self.theta, self.axis)
 
-    def conjugate(self) -> "PseudoRotation":
-        return PseudoRotation(-self.theta, np.conj(self.axis))
-
-    def transpose(self) -> "PseudoRotation":
-        return PseudoRotation(self.theta, np.conj(self.axis))
-
 
 def apply(rot: PseudoRotation, v) -> np.ndarray:
     """Apply ``A_(theta, x)`` to a vector: ``v - (1 - e^(i theta)) <v, x> x``."""
@@ -162,25 +158,6 @@ def product_matrix(rots, n: int) -> np.ndarray:
     for r in rots:
         out -= ((out @ r.axis) * (1.0 - np.exp(1j * r.theta)))[:, None] * r.axis.conj()
     return out
-
-
-def conjugate_by_unitary(
-    u, rot: PseudoRotation, tol: ToleranceConfig = DEFAULT_TOL
-) -> PseudoRotation:
-    """``U A_(theta, x) U^-1 = A_(theta, U x)``."""
-    u = check_unitary(u, tol)
-    if u.shape[0] != rot.n:
-        raise DimensionMismatch("unitary dimension does not match the rotation")
-    return PseudoRotation(rot.theta, u @ rot.axis)
-
-
-def involutions(rot: PseudoRotation) -> dict[str, PseudoRotation]:
-    """Inverse, entrywise conjugate and transpose as pseudo-rotations."""
-    return {
-        "inverse": rot.inverse(),
-        "conjugate": rot.conjugate(),
-        "transpose": rot.transpose(),
-    }
 
 
 def whitehead_interchange(

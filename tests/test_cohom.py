@@ -286,14 +286,14 @@ class TestExtAlgebra:
     @given(subsets, subsets, subsets)
     @settings(max_examples=40, deadline=None)
     def test_associativity(self, a, b, c):
-        ea, eb, ec = (cohom.ext_monomial(t) if t else cohom.ext_unit() for t in (a, b, c))
+        ea, eb, ec = (cohom.ext_monomial(t) for t in (a, b, c))
         left = cohom.ext_mul(cohom.ext_mul(ea, eb), ec)
         right = cohom.ext_mul(ea, cohom.ext_mul(eb, ec))
         assert left.terms == right.terms
 
     def test_format(self):
         assert cohom.format_element(cohom.kronecker_dual((2, 3))) == "-e(2)e(3)"
-        assert cohom.format_element(cohom.ext_unit()) == "1"
+        assert cohom.format_element(cohom.ext_monomial(())) == "1"
         assert cohom.format_element(cohom.ExtElement({})) == "0"
 
 
@@ -372,15 +372,6 @@ class TestCoproduct:
     def test_multiplicativity_mechanism(self):
         for entries in cohom.enumerate_symbols(6):
             assert cohom.coproduct_via_primitives(entries) == cohom.coproduct(entries).terms
-
-
-class TestHomologyProduct:
-    def test_disjoint(self):
-        assert cohom.homology_product((2,), (3,)) == (1, (2, 3))
-        assert cohom.homology_product((3,), (2,)) == (-1, (2, 3))
-
-    def test_overlap_zero(self):
-        assert cohom.homology_product((2,), (2,)) is None
 
 
 class TestPoincareDual:

@@ -11,6 +11,7 @@ from schubert.errors import (
     DimensionMismatch,
     InvalidSymbol,
     NotInModel,
+    PreconditionViolated,
     RealAxisExtractionFailure,
     SchubertError,
     StructureViolation,
@@ -671,8 +672,6 @@ class TestSchubertMaps:
         assert_allclose(schubert_map_sy(sym, [(0.0, e(3, 3))]), np.eye(3), atol=1e-14)
 
     def test_sy_rejects_complex_line(self):
-        from schubert.errors import PreconditionViolated
-
         sym = SchubertSymbol((2,), 3, "symmetric")
         with pytest.raises(PreconditionViolated):
             schubert_map_sy(sym, [(0.5, np.array([1j, 1.0]) / np.sqrt(2))])
@@ -696,6 +695,16 @@ class TestSchubertMaps:
     def test_wrong_class_rejected(self):
         with pytest.raises(UnsupportedClass):
             schubert_map(SchubertSymbol((2,), 3, "symmetric"), [(0.5, e(2, 3)[:2])])
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_angle_rejected(self, t):
+        with pytest.raises(PreconditionViolated, match="not finite"):
+            schubert_map(SchubertSymbol((2,), 3), [(t, [0.6, 0.8])])
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_zero_line_rejected(self, length):
+        with pytest.raises(DimensionMismatch, match="cell line is zero"):
+            schubert_map(SchubertSymbol((2,), 3), [(0.5, np.zeros(length))])
 
 
 class TestEmbed:

@@ -46,6 +46,11 @@ class TestPseudoRotation:
         y -= numlin.hermitian_inner(y, rot.axis) * rot.axis
         assert_allclose(rotor.apply(rot, y), y, atol=1e-13)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_refused(self, theta):
+        with pytest.raises(PreconditionViolated, match="not finite"):
+            PseudoRotation(theta, e(1, 3))
+
     def test_apply_formula_example(self):
         x = (e(1, 3) + e(2, 3)) / np.sqrt(2)
         rot = PseudoRotation(np.pi / 2, x)
@@ -127,45 +132,6 @@ class TestProductMatrix:
         dense = rots[0].matrix() @ rots[1].matrix() @ rots[2].matrix()
         assert np.linalg.norm(rotor.product_matrix(rots, 5) - dense) <= 1e-14
         assert_allclose(rotor.product_matrix([], 3), np.eye(3))
-
-
-class TestConjugation:
-    def test_identity_conjugator(self, rng):
-        rot = PseudoRotation(0.7, random_axis(rng, 3))
-        out = rotor.conjugate_by_unitary(np.eye(3), rot)
-        assert_allclose(out.matrix(), rot.matrix(), atol=1e-14)
-
-    def test_permutation(self):
-        u = np.eye(3)[:, [1, 0, 2]].astype(complex)
-        out = rotor.conjugate_by_unitary(u, PseudoRotation(0.9, e(1, 3)))
-        assert_allclose(out.matrix(), PseudoRotation(0.9, e(2, 3)).matrix(), atol=1e-14)
-
-    @given(theta=angles, seed=seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_matrix_oracle(self, theta, seed):
-        rng = np.random.default_rng(seed)
-        u = numlin.haar_sample(4, "special_unitary", rng)
-        rot = PseudoRotation(theta, random_axis(rng, 4))
-        out = rotor.conjugate_by_unitary(u, rot)
-        assert np.linalg.norm(u @ rot.matrix() @ u.conj().T - out.matrix()) <= 1e-10
-
-
-class TestInvolutions:
-    def test_inverse(self):
-        out = rotor.involutions(PseudoRotation(0.8, e(1, 2)))
-        assert_allclose(out["inverse"].matrix(), PseudoRotation(-0.8, e(1, 2)).matrix())
-
-    def test_transpose_real_axis(self, rng):
-        x = rng.standard_normal(4)
-        rot = PseudoRotation(1.3, x / np.linalg.norm(x))
-        assert_allclose(out_mat := rotor.involutions(rot)["transpose"].matrix(), rot.matrix(), atol=1e-14)
-
-    def test_conjugate_matrix_oracle(self):
-        rot = PseudoRotation(0.6, np.array([1, 1j]) / np.sqrt(2))
-        out = rotor.involutions(rot)
-        assert_allclose(out["conjugate"].matrix(), np.conj(rot.matrix()), atol=1e-14)
-        assert_allclose(out["inverse"].matrix(), np.linalg.inv(rot.matrix()), atol=1e-13)
-        assert_allclose(out["transpose"].matrix(), rot.matrix().T, atol=1e-14)
 
 
 class TestWhitehead:
