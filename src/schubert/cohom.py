@@ -8,13 +8,15 @@ this module is exact integer arithmetic, in Python ints or in integer
 arrays; symbols are plain strictly increasing tuples of ints > 1.
 Class tags, symbol entries and sizes are each checked by one function;
 one table, ``_DIM_FORM``, gives the generator degrees 2m - 1, m and 4m - 3
-and the closed-form cell dimensions.
+and the closed-form cell dimensions.  Each public entry point checks each
+symbol it is given once; the private helpers (``_merge_sign``,
+``_complement``, ``_beta``, the ``_trusted`` constructors) trust the
+validated tuples and the symbols the module builds itself.
 """
 from __future__ import annotations
 
-import itertools
-import math
 import operator
+from itertools import combinations
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +99,7 @@ def enumerate_symbols(n: int, klass: str = "general") -> list[Monomial]:
     """
     check_class(klass)
     n = _check_size(n, 1)
-    return [t for r in range(n) for t in itertools.combinations(range(2, n + 1), r)]
+    return [t for r in range(n) for t in combinations(range(2, n + 1), r)]
 
 
 def cell_dims(n: int, klass: str = "general") -> tuple[list[Monomial], list[int]]:
@@ -110,8 +112,11 @@ def cell_dims(n: int, klass: str = "general") -> tuple[list[Monomial], list[int]
 
 def beta(m) -> int:
     """Sign exponent binomial(l(m), 2)."""
-    t = check_entries(m)
-    return math.comb(len(t), 2)
+    return _beta(len(check_entries(m)))
+
+
+def _beta(length: int) -> int:
+    return length * (length - 1) // 2
 
 
 def _merge_disjoint(m, mp) -> tuple[Monomial, int]:
@@ -142,15 +147,17 @@ class ExtElement:
     ring: str = "Z"
 
     def __post_init__(self) -> None:
-        if self.ring not in RINGS:
-            raise UnsupportedCoefficients(f"unknown ring {self.ring!r}")
-        clean: dict[Monomial, int] = {}
-        for mono, coef in self.terms.items():
-            mono = check_entries(mono)
-            c = int(coef) % 2 if self.ring == "Z2" else int(coef)
-            if c:
-                clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+        terms = ((check_entries(mono), coef) for mono, coef in self.terms.items())
+        object.__setattr__(self, "terms", _reduced(terms, self.ring))
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, int], ring: str = "Z") -> "ExtElement":
+        """An element on monomials that are already valid, made without
+        checking them again; the ring and coefficients are handled as by
+        the constructor."""
+        elem = object.__new__(cls)
+        elem.__dict__.update(terms=_reduced(terms.items(), ring), ring=ring)
+        return elem
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -162,8 +169,16 @@ class ExtElement:
         return format_element(self)
 
 
+def _reduced(items, ring: str) -> dict[Monomial, int]:
+    """The (monomial, coefficient) pairs with nonzero int coefficients,
+    reduced mod 2 over Z/2Z; the ring is checked before any pair is read."""
+    if ring not in RINGS:
+        raise UnsupportedCoefficients(f"unknown ring {ring!r}")
+    return {mono: c for mono, coef in items if (c := int(coef) % 2 if ring == "Z2" else int(coef))}
+
+
 def ext_monomial(m, coef: int = 1, ring: str = "Z") -> ExtElement:
-    return ExtElement({check_entries(m): coef}, ring)
+    return ExtElement._trusted({check_entries(m): coef}, ring)
 
 
 def _merge_sign(a: Monomial, b: Monomial) -> tuple[Monomial, int]:
@@ -185,7 +200,7 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
             if sign == 0:
                 continue
             terms[mono] = terms.get(mono, 0) + sign * ca * cb
-    return ExtElement(terms, a.ring)
+    return ExtElement._trusted(terms, a.ring)
 
 
 def _mono_str(mono: Monomial) -> str:
@@ -221,6 +236,14 @@ class TensorElement:
                 clean[key] = int(c)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, terms: dict[tuple[Monomial, Monomial], int]) -> "TensorElement":
+        """A tensor held as given, made without checks, for terms whose
+        keys are valid symbols and whose coefficients are nonzero ints."""
+        elem = object.__new__(cls)
+        elem.__dict__["terms"] = terms
+        return elem
+
     def __str__(self) -> str:
         keys = sorted(self.terms, key=lambda k: (len(k[0]), k[0], k[1]))
         return _terms_str((f"{_mono_str(a)}x{_mono_str(b)}", self.terms[(a, b)]) for a, b in keys)
@@ -241,7 +264,7 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
             koszul = -1 if (len(a2) * len(b1)) % 2 else 1
             key = (left, right)
             terms[key] = terms.get(key, 0) + koszul * s1 * s2 * ca * cb
-    return TensorElement(terms)
+    return TensorElement._trusted({k: c for k, c in terms.items() if c})
 
 
 def kronecker_dual(m, klass: str = "general", assume_conjecture: bool = False) -> ExtElement:
@@ -255,26 +278,37 @@ def kronecker_dual(m, klass: str = "general", assume_conjecture: bool = False) -
     """
     t = check_entries(m)
     if check_class(klass) == "general":
-        return ext_monomial(t, (-1) ** beta(t), "Z")
+        return _kronecker(t)
     if not assume_conjecture:
         raise UnsupportedClass(
             f"the {klass} Kronecker-dual monomial identification is conjectural; "
             "pass assume_conjecture=True to compute it anyway"
         )
-    return ext_monomial(t, 1, "Z2" if klass == "symmetric" else "Z")
+    return ExtElement._trusted({t: 1}, "Z2" if klass == "symmetric" else "Z")
+
+
+def _kronecker(t: Monomial) -> ExtElement:
+    """The general-class Kronecker dual of a validated symbol."""
+    return ExtElement._trusted({t: (-1) ** _beta(len(t))}, "Z")
 
 
 def coproduct(m) -> TensorElement:
     """Hopf coproduct of the dual class of m:
     sum over ordered disjoint splittings (m', m'') of m of
-    ``(-1)^(l(m') l(m'')) epsilon_(m', m'') e_(m') x e_(m'')``."""
+    ``(-1)^(l(m') l(m'')) epsilon_(m', m'') e_(m') x e_(m'')``.
+
+    One pass per term: the complements of the r-subsets, taken in lex
+    order, are the (l - r)-subsets in reverse lex order, and a left part at
+    positions p_1 < ... < p_r of m has sum(p) - r(r - 1)/2 inversions
+    against its complement, so the sign is that parity plus r(l - r)."""
     t = check_entries(m)
     terms: dict[tuple[Monomial, Monomial], int] = {}
-    for r in range(0, len(t) + 1):
-        for left in itertools.combinations(t, r):
-            right = tuple(x for x in t if x not in left)
-            terms[(left, right)] = (-1) ** (r * len(right)) * _merge_sign(left, right)[1]
-    return TensorElement(terms)
+    for r in range(len(t) + 1):
+        base = r * (len(t) - r) - r * (r - 1) // 2
+        rights = reversed(list(combinations(t, len(t) - r)))
+        for left, right, pos in zip(combinations(t, r), rights, combinations(range(len(t)), r)):
+            terms[(left, right)] = -1 if (base + sum(pos)) % 2 else 1
+    return TensorElement._trusted(terms)
 
 
 def coproduct_via_primitives(m) -> dict[tuple[Monomial, Monomial], int]:
@@ -283,10 +317,10 @@ def coproduct_via_primitives(m) -> dict[tuple[Monomial, Monomial], int]:
     the Koszul sign rule and convert each monomial tensor factor back to
     the dual basis (``prod_(j in m') e_(j) = (-1)^beta(m') e_(m')``)."""
     t = check_entries(m)
-    prod = TensorElement({((), ()): 1})
-    for entry in t:
-        prod = tensor_mul(prod, coproduct((entry,)))
-    return {(a, b): (-1) ** (beta(t) + beta(a) + beta(b)) * c
+    prod = TensorElement._trusted({((), ()): 1})
+    for entry in t:  # the generator e_(entry) is primitive
+        prod = tensor_mul(prod, TensorElement._trusted({((), (entry,)): 1, ((entry,), ()): 1}))
+    return {(a, b): (-1) ** (_beta(len(t)) + _beta(len(a)) + _beta(len(b))) * c
             for (a, b), c in prod.terms.items()}
 
 
@@ -295,11 +329,15 @@ def full_symbol(n: int) -> Monomial:
 
 
 def complement_symbol(m, n: int) -> Monomial:
-    t = check_entries(m)
-    full = set(full_symbol(n))
-    if not set(t) <= full:
+    return _complement(check_entries(m), n)
+
+
+def _complement(t: Monomial, n) -> Monomial:
+    """The ordered complement in (2..n) of a validated symbol."""
+    full = full_symbol(n)
+    if t and t[-1] > full[-1]:
         raise InvalidSymbol(f"{t} is not contained in (2..{n})")
-    return tuple(sorted(full - set(t)))
+    return tuple(sorted(set(full) - set(t)))
 
 
 def poincare_dual(m, n: int) -> ExtElement:
@@ -307,10 +345,9 @@ def poincare_dual(m, n: int) -> ExtElement:
     ``(-1)^(beta(n-full) + beta(m)) epsilon_(m, m')`` times the monomial on
     the ordered complement m' of m in (2..n)."""
     t = check_entries(m)
-    comp = complement_symbol(t, n)
-    nn = full_symbol(n)
-    sign = (-1) ** (beta(nn) + beta(t)) * epsilon(t, comp)
-    return ext_monomial(comp, sign, "Z")
+    comp = _complement(t, n)
+    sign = (-1) ** (_beta(len(t) + len(comp)) + _beta(len(t))) * _merge_sign(t, comp)[1]
+    return ExtElement._trusted({comp: sign}, "Z")
 
 
 def _complementary(m, mp, n) -> tuple[Monomial, Monomial, int]:
@@ -332,20 +369,18 @@ def intersection_pairing(m, mp, n: int) -> int:
     ``(-1)^(beta(n) + beta(m) + beta(m')) epsilon_(m, m')``.
     """
     a, b, n = _complementary(m, mp, n)
-    if b != complement_symbol(a, n):
+    if b != _complement(a, n):
         return 0
-    nn = full_symbol(n)
-    return (-1) ** (beta(nn) + beta(a) + beta(b)) * epsilon(a, b)
+    return (-1) ** (_beta(n - 1) + _beta(len(a)) + _beta(len(b))) * _merge_sign(a, b)[1]
 
 
 def intersection_pairing_via_cup(m, mp, n: int) -> int:
     """The same pairing through the dual route: cup the Kronecker duals and
     read off the coefficient against the top-class orientation."""
     a, b, n = _complementary(m, mp, n)
-    prod = ext_mul(kronecker_dual(a), kronecker_dual(b))
+    prod = ext_mul(_kronecker(a), _kronecker(b))
     nn = full_symbol(n)
-    c = prod.coefficient(nn)
-    return c * ((-1) ** beta(nn))
+    return prod.terms.get(nn, 0) * (-1) ** _beta(len(nn))
 
 
 def _cell_dim_array(n: int, klass: str) -> np.ndarray:

@@ -40,6 +40,13 @@ def canonical_angle(theta: float) -> float:
     return r
 
 
+def _finite_angle(theta) -> float:
+    """The canonical angle of a rotation's angle, which must be finite."""
+    if not math.isfinite(float(theta)):
+        raise PreconditionViolated(f"rotation angle {theta!r} is not finite")
+    return canonical_angle(theta)
+
+
 def min_index(x, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Largest 1-based coordinate index of x exceeding the zero threshold.
 
@@ -112,9 +119,7 @@ class PseudoRotation:
     axis: np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(float(self.theta)):
-            raise PreconditionViolated(f"rotation angle {self.theta!r} is not finite")
-        object.__setattr__(self, "theta", canonical_angle(self.theta))
+        object.__setattr__(self, "theta", _finite_angle(self.theta))
         object.__setattr__(self, "axis", canonical_axis(self.axis))
 
     @property
@@ -260,13 +265,14 @@ def hline_canonical(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 @dataclass(frozen=True)
 class HPseudoRotation:
     """H-pseudo-rotation: the commuting product ``A_(theta,x) A_(theta,jx)``
-    rotating a quaternionic line; determinant ``e^(2 i theta)``."""
+    rotating a quaternionic line; determinant ``e^(2 i theta)``.  A
+    non-finite angle is refused."""
 
     theta: float
     hline: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", canonical_angle(self.theta))
+        object.__setattr__(self, "theta", _finite_angle(self.theta))
         object.__setattr__(self, "hline", hline_canonical(self.hline))
 
     @property

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import tracemalloc
@@ -21,6 +22,17 @@ DATA = pathlib.Path(__file__).parent / "data"
 subsets = st.sets(st.integers(min_value=2, max_value=10), max_size=6).map(
     lambda s: tuple(sorted(s))
 )
+
+
+def splitting_formula(entries) -> dict:
+    """Every ordered splitting of the symbol, signed through the validating
+    epsilon, in the order of the splitting formula."""
+    want = {}
+    for r in range(len(entries) + 1):
+        for left in itertools.combinations(entries, r):
+            right = tuple(x for x in entries if x not in left)
+            want[(left, right)] = (-1) ** (r * len(right)) * cohom.epsilon(left, right)
+    return want
 
 
 def split_of(draw_from):
@@ -356,22 +368,67 @@ class TestCoproduct:
         assert {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
 
     def test_splitting_formula(self):
-        # every ordered splitting, signed through the validating epsilon
-        import itertools
-
         for entries in cohom.enumerate_symbols(10):
-            want = {}
-            for r in range(len(entries) + 1):
-                for left in itertools.combinations(entries, r):
-                    right = tuple(x for x in entries if x not in left)
-                    want[(left, right)] = (-1) ** (r * len(right)) * cohom.epsilon(left, right)
             got = cohom.coproduct(entries)
             assert isinstance(got, cohom.TensorElement)
-            assert list(got.terms.items()) == list(cohom.TensorElement(want).terms.items())
+            want = cohom.TensorElement(splitting_formula(entries))
+            assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("length", [11, 12, 13, 14])
+    def test_splitting_formula_long_symbols(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(2):
+            entries = tuple(sorted(int(x) for x in rng.choice(range(2, 21), length, replace=False)))
+            got = cohom.coproduct(entries)
+            want = cohom.TensorElement(splitting_formula(entries))
+            assert list(got.terms.items()) == list(want.terms.items())
 
     def test_multiplicativity_mechanism(self):
-        for entries in cohom.enumerate_symbols(6):
+        for entries in cohom.enumerate_symbols(8):
             assert cohom.coproduct_via_primitives(entries) == cohom.coproduct(entries).terms
+
+
+class TestValidateOnce:
+    """Each public entry point checks each symbol argument once: a 3-entry
+    symbol and its complement at n = 8 cost one ``check_entries`` call each."""
+
+    M, COMP, N = (2, 4, 7), (3, 5, 6, 8), 8
+    CALLS = {
+        "coproduct": (lambda m, comp, n: cohom.coproduct(m), 1),
+        "poincare_dual": (lambda m, comp, n: cohom.poincare_dual(m, n), 1),
+        "intersection_pairing": (cohom.intersection_pairing, 2),
+        "intersection_pairing_via_cup": (cohom.intersection_pairing_via_cup, 2),
+        "kronecker_dual": (lambda m, comp, n: cohom.kronecker_dual(m), 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_one_check_per_symbol(self, monkeypatch, name):
+        checked = []
+        check = cohom.check_entries
+        monkeypatch.setattr(cohom, "check_entries", lambda m: checked.append(m) or check(m))
+        call, symbols = self.CALLS[name]
+        call(self.M, self.COMP, self.N)
+        assert len(checked) == symbols, checked
+
+    @pytest.mark.parametrize("bad", [(2.5, 4), (4, 3), ("2",), (1, 3)])
+    def test_bad_symbols_still_refused(self, bad):
+        calls = [
+            lambda: cohom.coproduct(bad),
+            lambda: cohom.poincare_dual(bad, self.N),
+            lambda: cohom.kronecker_dual(bad),
+        ]
+        for route in (cohom.intersection_pairing, cohom.intersection_pairing_via_cup):
+            calls += [lambda f=route: f(bad, self.COMP, self.N),
+                      lambda f=route: f(self.M, bad, self.N)]
+        for call in calls:
+            with pytest.raises(InvalidSymbol):
+                call()
+
+    @pytest.mark.parametrize("route", [cohom.intersection_pairing,
+                                       cohom.intersection_pairing_via_cup])
+    def test_wrong_lengths_still_refused(self, route):
+        with pytest.raises(PreconditionViolated, match="complementary degrees"):
+            route(self.M, (3, 5), self.N)
 
 
 class TestPoincareDual:

@@ -224,6 +224,11 @@ class TestQuaternionic:
         assert np.linalg.norm(y - q @ (q.conj().T @ y)) < 1e-12
         assert_allclose(rotor.hline_canonical(y), y, atol=1e-12)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_refused(self, theta):
+        with pytest.raises(PreconditionViolated, match="not finite"):
+            HPseudoRotation(theta, e(1, 4))
+
     def test_hrotation_properties(self, rng):
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         hrot = HPseudoRotation(0.9, x)
