@@ -424,8 +424,8 @@ def expand_product(degrees) -> dict[int, int]:
 def generator_degrees(n: int, klass: str = "general") -> list[int]:
     """Degrees of the exterior generators for ambient n: 3,5,..,2n-1 /
     2,3,..,n / 5,9,..,4n-3 by class."""
-    check_class(klass)
-    return [generator_degree(m, klass) for m in range(2, _check_size(n) + 1)]
+    scale, shift = _DIM_FORM[check_class(klass)]
+    return [scale * m - shift for m in range(2, _check_size(n) + 1)]
 
 
 def poincare_polynomial(n: int, klass: str = "general") -> dict[int, int]:

@@ -48,7 +48,6 @@ from .errors import (
 )
 from .numlin import (
     FiberElement,
-    as_square_matrix,
     fro_norm,
     haar_sample,
     jn,
@@ -350,31 +349,6 @@ def reverse_order(
                    correction=correction)
     residual = float(np.linalg.norm(fact.matrix() - f.matrix()))
     return replace(fact, residual=residual)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """The four symbols of B, B^-1, conj(B), B^T and their agreement."""
-
-    original: SchubertSymbol
-    inverse: SchubertSymbol
-    conjugate: SchubertSymbol
-    transpose: SchubertSymbol
-
-    @property
-    def equal(self) -> bool:
-        e = self.original.entries
-        return all(s.entries == e for s in (self.inverse, self.conjugate, self.transpose))
-
-
-def symbol_invariance_check(b, tol: ToleranceConfig = DEFAULT_TOL) -> InvarianceReport:
-    b = as_square_matrix(b)
-    return InvarianceReport(
-        original=factorize_su(b, tol).symbol(tol),
-        inverse=factorize_su(b.conj().T, tol).symbol(tol),
-        conjugate=factorize_su(np.conj(b), tol).symbol(tol),
-        transpose=factorize_su(b.T, tol).symbol(tol),
-    )
 
 
 def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -> float:

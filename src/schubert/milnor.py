@@ -27,12 +27,11 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Optional
 
 import numpy as np
 
 from . import cohom
-from .errors import NotInModel, OddDimension, PreconditionViolated
+from .errors import NotInModel, OddDimension
 from .factor import (
     OrderedFactorization,
     SchubertSymbol,
@@ -40,15 +39,12 @@ from .factor import (
     factorize_skew,
     factorize_su,
     factorize_symmetric,
-    sample_interior_params,
-    schubert_map,
 )
 from .numlin import (
     FiberElement,
     as_square_matrix,
     diagonalize_quadratic_form,
     fro_norm,
-    is_solvable_factor,
     is_unitary,  # noqa: F401  (a lookup point of perfbench/tracer.py)
     iwasawa_split,
     jn,
@@ -298,80 +294,6 @@ def identify(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentific
     if klass == "general":
         return identify_general(b, tol)
     return _identify_congruence(b, klass, tol)
-
-
-@dataclass(frozen=True)
-class SolInvarianceReport:
-    """Symbols before and after acting by a solvable witness."""
-
-    symbol: SchubertSymbol
-    symbol_after: SchubertSymbol
-
-    @property
-    def equal(self) -> bool:
-        return self.symbol.entries == self.symbol_after.entries
-
-
-def sol_invariance_check(
-    b, e, klass: str, tol: ToleranceConfig = DEFAULT_TOL
-) -> SolInvarianceReport:
-    """Check the symbol is invariant under the solvable-group action:
-    right multiplication B . E for the general class, the congruence
-    E^T . B . E for the symmetric and skew classes.
-
-    For the congruence classes the cells are preserved by the subgroup of
-    :func:`dressing_sample` (real solvable, respectively quaternionic
-    solvable); a witness outside it can genuinely move the cell.
-    """
-    e = as_square_matrix(e)
-    if not is_solvable_factor(e, tol):
-        raise PreconditionViolated("E must be upper triangular, positive diagonal, det 1")
-    before = identify(b, klass, tol)
-    mat = as_square_matrix(b)
-    after = identify(_compose(mat, e, klass), klass, tol)
-    return SolInvarianceReport(symbol=before.symbol, symbol_after=after.symbol)
-
-
-@dataclass(frozen=True)
-class ClosureProductReport:
-    """Numeric check of the cell-product laws for two sampled general cells."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    product_symbol: tuple[int, ...]
-    disjoint: bool
-    expected_merge: Optional[tuple[int, ...]]
-    dim_bound: Optional[int]
-    passed: bool
-
-
-def closure_product_check(
-    m, mp, n: int, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL
-) -> ClosureProductReport:
-    """Sample interior points of two general cells and test the product law:
-    disjoint symbols multiply into the merged cell, overlapping symbols drop
-    the product cell dimension by at least 2."""
-    sym1 = SchubertSymbol(tuple(m), n, "general")
-    sym2 = SchubertSymbol(tuple(mp), n, "general")
-    rng = np.random.default_rng(seed)
-    p = schubert_map(sym1, sample_interior_params(sym1, rng))
-    q = schubert_map(sym2, sample_interior_params(sym2, rng))
-    prod_symbol = factorize_su(p @ q, tol).symbol(tol).entries
-    disjoint = not (set(sym1.entries) & set(sym2.entries))
-    expected = bound = None
-    if disjoint:
-        expected = cohom.merge_symbols(sym1.entries, sym2.entries)
-    else:
-        bound = cohom.cell_dim(sym1.entries) + cohom.cell_dim(sym2.entries) - 2
-    return ClosureProductReport(
-        left=sym1.entries,
-        right=sym2.entries,
-        product_symbol=prod_symbol,
-        disjoint=disjoint,
-        expected_merge=expected,
-        dim_bound=bound,
-        passed=prod_symbol == expected if disjoint else cohom.cell_dim(prod_symbol) <= bound,
-    )
 
 
 def dressing_sample(n: int, klass: str, seed=0) -> np.ndarray:

@@ -233,17 +233,6 @@ def iwasawa_split(b, tol: ToleranceConfig = DEFAULT_TOL) -> IwasawaParts:
     return IwasawaParts(unitary=unitary, solvable=solvable)
 
 
-def is_solvable_factor(e: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when ``e`` is upper triangular with positive real diagonal, det 1."""
-    e = as_square_matrix(e)
-    if np.linalg.norm(np.tril(e, -1)) > tol.tol_residual * max(1.0, np.linalg.norm(e)):
-        return False
-    d = np.diag(e)
-    if (d.real <= 0).any() or (np.abs(d.imag) > tol.tol_residual * np.abs(d.real)).any():
-        return False
-    return near_one(np.linalg.det(e), tol)
-
-
 @dataclass(frozen=True)
 class UnitaryEigen:
     """Eigendecomposition of a unitary matrix.

@@ -390,7 +390,8 @@ class TestCoproduct:
 
 class TestValidateOnce:
     """Each public entry point checks each symbol argument once: a 3-entry
-    symbol and its complement at n = 8 cost one ``check_entries`` call each."""
+    symbol and its complement at n = 8 cost one ``check_entries`` call each,
+    and a call with no symbol argument costs none."""
 
     M, COMP, N = (2, 4, 7), (3, 5, 6, 8), 8
     CALLS = {
@@ -399,6 +400,9 @@ class TestValidateOnce:
         "intersection_pairing": (cohom.intersection_pairing, 2),
         "intersection_pairing_via_cup": (cohom.intersection_pairing_via_cup, 2),
         "kronecker_dual": (lambda m, comp, n: cohom.kronecker_dual(m), 1),
+        # no symbol argument: the labels 2..n it generates are not checked
+        "poincare_polynomial": (
+            lambda m, comp, n: [cohom.poincare_polynomial(n, k) for k in cohom.CLASSES], 0),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))

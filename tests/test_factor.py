@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from schubert import factor, milnor, numlin, rotor
+from schubert import factor, milnor, numlin, rotor, verify
 from schubert.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -32,7 +32,6 @@ from schubert.factor import (
     schubert_map,
     schubert_map_sk,
     schubert_map_sy,
-    symbol_invariance_check,
 )
 from schubert.rotor import PseudoRotation
 from schubert.tolerances import DEFAULT_TOL, ToleranceConfig, in_gray_zone
@@ -447,20 +446,21 @@ class TestDecreasingAndReverse:
 
 
 class TestInvariance:
+    """B, B^-1, conj(B) and B^T have one symbol."""
+
+    @staticmethod
+    def symbols(b):
+        return [factorize_su(m).symbol().entries for m in (b, b.conj().T, b.conj(), b.T)]
+
     def test_identity(self):
-        rep = symbol_invariance_check(np.eye(3))
-        assert rep.equal and rep.original.entries == ()
+        assert self.symbols(np.eye(3)) == [()] * 4
 
     def test_su2_diagonal(self):
-        b = np.diag([np.exp(0.9j), np.exp(-0.9j)])
-        rep = symbol_invariance_check(b)
-        assert rep.equal and rep.original.entries == (2,)
+        assert self.symbols(np.diag([np.exp(0.9j), np.exp(-0.9j)])) == [(2,)] * 4
 
     def test_seeded_suite(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            b = numlin.haar_sample(5, "special_unitary", rng)
-            assert symbol_invariance_check(b).equal
+        # size 5 draws from default_rng(3 + 5)
+        assert verify.check_symbol_invariance([5], 40, 3) == []
 
 
 class TestSymmetricEngine:

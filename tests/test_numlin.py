@@ -412,12 +412,20 @@ class TestHaarSample:
             assert (a == b).all()
 
     def test_solvable_samplers(self):
+        def assert_solvable(e):
+            """Upper triangular with positive real diagonal and det 1."""
+            d = np.diag(e)
+            assert np.all(np.tril(e, -1) == 0)
+            assert np.all(d.real > 0) and np.all(d.imag == 0)
+            assert numlin.near_one(np.linalg.det(e))
+
         e1 = numlin.solvable_sample(5, seed=1)
-        assert numlin.is_solvable_factor(e1)
+        assert_solvable(e1)
         e2 = numlin.real_solvable_sample(5, seed=1)
-        assert numlin.is_solvable_factor(e2) and np.all(e2.imag == 0)
+        assert_solvable(e2)
+        assert np.all(e2.imag == 0)
         e3 = numlin.quaternionic_solvable_sample(6, seed=1)
-        assert numlin.is_solvable_factor(e3)
+        assert_solvable(e3)
         j = numlin.jn(3)
         assert np.linalg.norm(j @ np.conj(e3) @ np.linalg.inv(j) - e3) < 1e-12
 

@@ -1,6 +1,9 @@
 """The shared invariant checks report a broken engine, and ``schubert
 verify`` turns their failures into exit code 5."""
 import dataclasses
+import itertools
+
+import numpy as np
 
 from schubert import cli, verify
 from schubert.factor import SchubertSymbol, factorize_su
@@ -41,3 +44,39 @@ def test_wrong_symbol_fails(monkeypatch, capsys):
     assert [f[1] for f in failures] == [(2,), (2,), (3,), (2, 3)]
     assert cli.main(["verify", "--suite", "milnor", "--n", "2", "--trials", "1"]) == 5
     assert "FAIL\tmilnor.planted-cell-recovery" in capsys.readouterr().out
+
+
+def test_disagreeing_symbols_fail(monkeypatch):
+    """Every other call of the general engine loses its first factor, so
+    B and conj(B) keep their symbol while B^-1 and B^T lose an entry."""
+    calls = itertools.count()
+
+    def drop_on_odd_calls(b):
+        fact = factorize_su(b)
+        return dataclasses.replace(fact, factors=fact.factors[next(calls) % 2:])
+
+    monkeypatch.setattr(verify, "factorize_su", drop_on_odd_calls)
+    failures = verify.check_symbol_invariance([3, 4], 2, 0)
+    assert [f[:2] for f in failures] == [(3, 0), (3, 1), (4, 0), (4, 1)]
+    assert all(f[2][0] == f[2][2] != f[2][1] == f[2][3] for f in failures)
+    assert verify.check_closure_products(range(3, 6), 4, 0)
+
+
+def test_cell_moving_dressing_fails(monkeypatch, capsys):
+    """A general-class "dressing" E = B^-1 sends B to the identity cell."""
+    drawn = []
+    haar, dressing = verify.haar_sample, verify.dressing_sample
+
+    def record(n, klass, rng):
+        drawn.append(haar(n, klass, rng))
+        return drawn[-1]
+
+    def undo(n, klass, rng):
+        e = dressing(n, klass, rng)  # the same draws from the suite's generator
+        return np.linalg.inv(drawn[-1]) if klass == "general" else e
+
+    monkeypatch.setattr(verify, "haar_sample", record)
+    monkeypatch.setattr(verify, "dressing_sample", undo)
+    assert cli.main(["verify", "--suite", "milnor", "--n", "3", "--trials", "2"]) == 5
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL\tmilnor.solvable-action-invariance\t2 mismatches"]
