@@ -12,13 +12,16 @@ and pseudo-rotation objects are built only for the factorization that is
 returned.  The rank profile of W - I, W the unitary polar factor, names
 the same min-indices with no fitted angle in between; when the two
 disagree or a rank is decided in its gray zone, the result is flagged
-boundary-ambiguous.  The symmetric and skew-symmetric Cartan models carry
-analogous unique factorizations, which one Cartan peel reads off the
-increasing factorization of B* = B^-1, inverted factor by factor, by
-iterated Cartan conjugation: one half-angle real-axis factor per step for
-the symmetric class, one quaternionic pair ``(A, sigma(A*))`` per step for
-the skew class, each axis read once and all canonicalised in one call when
-the peel ends.  Order reversal conjugates each axis by the running product
+boundary-ambiguous.  For a lower cell one QR of W - I, its rows ordered
+by the peel's min-indices, certifies that profile when its margins are
+clear; otherwise the profile is computed, one SVD per trailing block.
+The symmetric and skew-symmetric Cartan models carry analogous unique
+factorizations, which one Cartan peel reads off the increasing
+factorization of B* = B^-1, inverted factor by factor, by iterated Cartan
+conjugation: one half-angle real-axis factor per step for the symmetric
+class, one quaternionic pair ``(A, sigma(A*))`` per step for the skew
+class, each axis read once and all canonicalised in one call when the
+peel ends.  Order reversal conjugates each axis by the running product
 of the factors already passed.
 
 The ``schubert_map*`` functions are the forward cell parametrizations;
@@ -259,6 +262,44 @@ def _rank_profile(w: np.ndarray, tol: ToleranceConfig) -> tuple[list[int], bool]
     return [j for j in range(2, n + 1) if ranks[j] > ranks[j + 1]], gray
 
 
+def _certifies(d: np.ndarray, mins: list[int], tau: float) -> bool:
+    """Whether one QR of the rows 2..n of ``d = W - I`` proves that
+    ``_rank_profile`` returns exactly ``(mins, False)``.
+
+    Why this is exact.  The rows S = ``mins`` are taken bottom-up, then the
+    other rows N of 2..n bottom-up, and D[order]* = Q R with
+    R = [[R_SS, R_SN], [0, R_NN]].  The rows j..n of D, the block B_j, are
+    the first rows of S and of N in that order, so B_j Q = A + E: A holds
+    the S rows of B_j, which are rows of R_SS*, and the components of its N
+    rows along those S rows' directions; E holds the rest of the N rows,
+    entries of R_NN and components along S rows above them, so ||E|| <= e,
+    the norm of R_NN and of the entries of R_SN whose S row lies above its
+    N row.  The nonzero part of A has k_j = |S and [j, n]| columns and
+    contains a leading k_j x k_j block L of R_SS*, so A has k_j singular
+    values of at least sigma_min(L) and the rest 0; L^-1 is a block of
+    R_SS^-*, so sigma_min(L) >= sigma = 1/||R_SS^-1||_F.  By Weyl, B_j has
+    k_j singular values >= sigma - e >= 2 GRAY_SPAN tau and the rest
+    <= e <= tau / (2 GRAY_SPAN).  So every block has rank k_j, no block has
+    a value in the gray zone (tau / GRAY_SPAN, GRAY_SPAN tau), and the SVD
+    loop stops at the same block.  Rounding is about 1e-14 and the margins
+    are a factor 2, so it cannot flip a decision.
+    """
+    if 1 in mins:  # the profile never holds a min-index of 1
+        return False
+    n, k = d.shape[0], len(mins)
+    rest = [j for j in range(n, 1, -1) if j not in mins]
+    # the QR of D[order]^T: its R is the conjugate of the one above, same moduli
+    r = np.linalg.qr(d[np.array(mins[::-1] + rest) - 1].T, mode="r")
+    r[:k, k:] *= np.less.outer(mins[::-1], rest)  # keep S rows s above N rows t
+    e = fro_norm(r[:, k:])
+    if e > tau / (2 * GRAY_SPAN):
+        return False
+    # sigma_min(R_SS) <= min |r_ii|: a cheap refusal that keeps inv off a singular R_SS
+    floor = 2 * GRAY_SPAN * tau + e
+    return not k or bool(np.abs(r.diagonal()[:k]).min() >= floor
+                         and fro_norm(np.linalg.inv(r[:k, :k])) * floor <= 1.0)
+
+
 def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     """Unique increasing ordered factorization of a special unitary matrix.
 
@@ -281,7 +322,11 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     ``boundary_ambiguous`` is raised when the peel's min-indices differ from
     the profile, or when a singular value of the profile, a row deviation,
     a pivot coordinate or the correction angle lands in the gray zone of
-    its threshold.
+    its threshold.  The top cell is settled by the first SVD of the
+    profile.  For a lower cell, one QR of W - I first tries to prove that
+    the profile equals the peel's min-indices with no value in a gray zone
+    (``_certifies``); only when it cannot are the trailing blocks' SVDs
+    taken.
     """
     b = FiberElement.of_unitary(b, tol).matrix
     n = b.shape[0]
@@ -290,7 +335,10 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     thetas, axes, mins, phi, gray = _peel_rows(w, tol)
     if any(y <= x for x, y in zip(mins, mins[1:])):
         raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
-    profile, profile_gray = _rank_profile(w, tol)
+    if len(mins) < n - 1 and _certifies(w - np.eye(n), mins, tol.tol_angle):
+        profile, profile_gray = mins, False
+    else:
+        profile, profile_gray = _rank_profile(w, tol)
     factors = tuple(map(PseudoRotation.of_canonical, thetas, axes))
     correction = PseudoRotation.of_canonical(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None
     p = product_matrix(factors if correction is None else [correction, *factors], n)
