@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Stage split of ``identify`` on the benchmark's generic inputs.
+"""Stage split of ``identify`` on the benchmark's generic or planted inputs.
 
-The inputs of ``build_generic`` in ``perfbench/workloads.py`` (Haar fiber
-points) are built for one seed and each is identified ``--rounds`` times,
-after one warm-up call, with one BLAS thread.  Each call is split into the
-stages of the pipeline by timing the functions it looks up in
-``schubert.milnor`` at call time:
+The inputs of ``build_generic`` (Haar fiber points) or ``build_planted``
+(compact and dressed points of planted cells) in ``perfbench/workloads.py``
+are built for one seed, as ``--workload`` picks, and each is identified
+``--rounds`` times, after one warm-up call, with one BLAS thread.  Each
+call is split into the stages of the pipeline by timing the functions it
+looks up in ``schubert.milnor`` at call time:
 
     validate   FiberElement.__post_init__ (membership of the input)
     undress    undress_symmetric, undress_skew
@@ -13,14 +14,20 @@ stages of the pipeline by timing the functions it looks up in
     iwasawa    iwasawa_split
     engine     factorize_su, factorize_symmetric, factorize_skew
     result     CellIdentification.of (the residual)
-    rest       the call's time outside those stages
+    profile    factor._rank_profile and factor._certifies, the rank profile
+               of the general engine (part of the engine's time)
+    rest       the call's time outside the stages above profile
 
 A stage called inside another stage counts as part of the outer one (the
-validation of C^-1 is Iwasawa time).  The table gives, per class and n, the
+validation of C^-1 is Iwasawa time); only ``profile`` is timed wherever it
+is called, and its time stays in the stage that called it.  The table gives, per class and n, the
 median over inputs and rounds of each stage and of the whole call, in ms.
-The benchmark is only read.  Run from the root of a checkout:
+A lookup point that the imported package lacks is skipped, so the script
+can split an older checkout's ``src`` too.  The benchmark is only read.
+Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/stage_split.py --seed 1 --rounds 30
+    PYTHONPATH=src python3 scripts/stage_split.py --workload planted --seed 1
 """
 import argparse
 import os
@@ -36,8 +43,8 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
-from schubert import milnor  # noqa: E402
-from workloads import build_generic  # noqa: E402
+from schubert import factor, milnor  # noqa: E402
+from workloads import build_generic, build_planted  # noqa: E402
 
 STAGES = {
     "validate": [(milnor.FiberElement, "__post_init__")],
@@ -48,11 +55,13 @@ STAGES = {
                (milnor, "factorize_skew")],
     "result": [(milnor.CellIdentification, "of")],
 }
-COLUMNS = list(STAGES) + ["rest", "total"]
+INNER = {"profile": [(factor, "_rank_profile"), (factor, "_certifies")]}
+COLUMNS = list(STAGES) + list(INNER) + ["rest", "total"]
 
 
 class StageClock:
-    """Times the outermost staged call; nested staged calls count in it."""
+    """Times the outermost staged call, in which nested staged calls count,
+    and every call of an inner stage."""
 
     def __init__(self) -> None:
         self.times: dict[str, float] = defaultdict(float)
@@ -60,7 +69,7 @@ class StageClock:
 
     def wrap(self, stage: str, fn):
         def timed(*args, **kwargs):
-            if self.depth:
+            if self.depth and stage not in INNER:
                 return fn(*args, **kwargs)
             self.depth += 1
             start = time.perf_counter()
@@ -75,8 +84,10 @@ class StageClock:
     def install(self) -> list:
         """Wrap every stage's lookup point; returns what to restore."""
         saved = []
-        for stage, points in STAGES.items():
+        for stage, points in {**STAGES, **INNER}.items():
             for owner, attr in points:
+                if attr not in owner.__dict__:  # an older checkout's src lacks it
+                    continue
                 original = owner.__dict__[attr]
                 saved.append((owner, attr, original))
                 # a classmethod is wrapped bound, and put back as a staticmethod
@@ -89,11 +100,13 @@ class StageClock:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", choices=("generic", "planted"), default="generic")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=30)
     args = ap.parse_args()
     groups = defaultdict(list)
-    for op in build_generic(args.seed)[0]:
+    build = build_planted if args.workload == "planted" else build_generic
+    for op in build(args.seed)[0]:
         groups[op.group].append(op)
     clock = StageClock()
     saved = clock.install()
@@ -108,9 +121,9 @@ def main() -> None:
                     start = time.perf_counter()
                     op.run()
                     total = time.perf_counter() - start
-                    for stage in STAGES:
+                    for stage in (*STAGES, *INNER):
                         samples[stage].append(clock.times[stage])
-                    samples["rest"].append(total - sum(clock.times.values()))
+                    samples["rest"].append(total - sum(clock.times[s] for s in STAGES))
                     samples["total"].append(total)
             cells = "".join(f"{1e3 * float(np.median(samples[c])):10.3f}" for c in COLUMNS)
             print(f"{klass:9s} n={n:<3d}{cells}", flush=True)

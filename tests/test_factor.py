@@ -384,6 +384,113 @@ class TestStackedPeel:
             assert len(calls) == 2, calls
 
 
+def _lower_entries(rng, n, least=0):
+    """Random entries of a lower general cell of SU(n): fewer than n - 1."""
+    return tuple(sorted(map(int, rng.choice(np.arange(2, n + 1), int(rng.integers(least, n - 1)),
+                                            replace=False))))
+
+
+def _polar_mins(b, tol=DEFAULT_TOL):
+    """The unitary polar factor of ``b`` and the min-indices of its peel."""
+    u, _, vh = np.linalg.svd(b)
+    w = u @ vh
+    return w, factor._peel_rows(w, tol)[2]
+
+
+def _pushed_probes():
+    """Compact lower general cells at n = 3..8 with one or two lines or
+    angles pushed toward a boundary."""
+    rng = np.random.default_rng(26)
+    for push in ("line", "angle"):
+        for _ in range(60):
+            n = int(rng.integers(3, 9))
+            entries = _lower_entries(rng, n, least=1)
+            pushed = {int(i): 10.0 ** rng.uniform(*((-5.8, -1) if push == "line" else (-9, -1)))
+                      for i in rng.choice(len(entries), min(len(entries), 2), replace=False)}
+            tops, angles = (pushed, {}) if push == "line" else ({}, pushed)
+            yield _pushed_cell(entries, n, int(rng.integers(2**31)), tops, angles=angles)
+
+
+TOLERANCES = (DEFAULT_TOL, ToleranceConfig(tol_angle=1e-10), ToleranceConfig(tol_angle=1e-6))
+
+
+class TestRankCertificate:
+    """One QR certifies the rank profile of a lower cell: whenever it holds,
+    the trailing-block SVDs of ``_rank_profile`` name the peel's
+    min-indices with no value in a gray zone."""
+
+    def test_planted_lower_cells(self):
+        rng = np.random.default_rng(24)
+        for n in range(4, 17):
+            for _ in range(6):
+                entries = _lower_entries(rng, n)
+                w, mins = _polar_mins(cell_sample(SchubertSymbol(entries, n), int(rng.integers(2**31))))
+                assert factor._certifies(w - np.eye(n), mins, DEFAULT_TOL.tol_angle), (entries, n)
+                assert factor._rank_profile(w, DEFAULT_TOL) == (mins, False), (entries, n)
+
+    def test_pushed_cells(self):
+        held = refused = 0
+        for b in _pushed_probes():
+            n = b.shape[0]
+            for tol in TOLERANCES:
+                w, mins = _polar_mins(b, tol)
+                if factor._certifies(w - np.eye(n), mins, tol.tol_angle):
+                    held += 1
+                    assert factor._rank_profile(w, tol) == (mins, False), (mins, tol)
+                else:
+                    refused += 1
+        assert held > refused > 0, (held, refused)
+
+    def test_same_outcome_as_the_svd_loop(self, monkeypatch):
+        def outcome(b, tol):
+            try:
+                f = factorize_su(b, tol)
+            except SchubertError as exc:
+                return type(exc)
+            return f.boundary_ambiguous, f.symbol(tol).entries, f.residual
+
+        cases = [(b, tol) for b in _pushed_probes() for tol in TOLERANCES]
+        got = [outcome(b, tol) for b, tol in cases]
+        monkeypatch.setattr(factor, "_certifies", lambda d, mins, tau: False)
+        assert got == [outcome(b, tol) for b, tol in cases]
+
+    def test_refuses_a_wrong_index_set(self):
+        """An index dropped, added or moved, or a min-index of 1."""
+        rng, tau = np.random.default_rng(25), DEFAULT_TOL.tol_angle
+        for n in (4, 8, 12, 16):
+            for _ in range(4):
+                entries = _lower_entries(rng, n, least=1)
+                w, mins = _polar_mins(cell_sample(SchubertSymbol(entries, n), int(rng.integers(2**31))))
+                d = w - np.eye(n)
+                assert factor._certifies(d, mins, tau) and not factor._certifies(d, [1] + mins, tau)
+                others = sorted(set(range(2, n + 1)) - set(mins))
+                for i in range(len(mins)):
+                    dropped = mins[:i] + mins[i + 1:]
+                    assert not factor._certifies(d, dropped, tau), (mins, i)
+                    for j in others:  # an index moved up or down
+                        assert not factor._certifies(d, sorted(dropped + [j]), tau), (mins, i, j)
+                for j in others:
+                    assert not factor._certifies(d, sorted(mins + [j]), tau), (mins, j)
+
+    def test_svd_calls(self, monkeypatch):
+        """A lower cell at n = 12 takes only the polar factor's SVD; the top
+        cell, where every Haar input lies, one more for the profile."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        svd = np.linalg.svd
+        lower = cell_sample(SchubertSymbol((3, 5, 6, 9, 12), 12), seed=3)
+        haar = numlin.haar_sample(12, "special_unitary", 3)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for b, want in ((lower, 1), (haar, 2)):
+            calls.clear()
+            factorize_su(b)
+            assert len(calls) == want
+
+
 class TestDecreasingAndReverse:
     def test_identity(self):
         f = factorize_decreasing(np.eye(3))
