@@ -6,7 +6,7 @@ The inputs of ``build_generic`` (Haar fiber points) or ``build_planted``
 are built for one seed, as ``--workload`` picks, and each is identified
 ``--rounds`` times, after one warm-up call, with one BLAS thread.  Each
 call is split into the stages of the pipeline by timing the functions it
-looks up in ``schubert.milnor`` at call time:
+looks up in ``schubert.milnor`` and ``schubert.factor`` at call time:
 
     validate   FiberElement.__post_init__ (membership of the input)
     undress    undress_symmetric, undress_skew
@@ -16,15 +16,15 @@ looks up in ``schubert.milnor`` at call time:
     result     CellIdentification.of (the residual)
     profile    factor._rank_profile and factor._certifies, the rank profile
                of the general engine (part of the engine's time)
-    rest       the call's time outside the stages above profile
+    rest       the call's time outside the stages from validate to result
 
 A stage called inside another stage counts as part of the outer one (the
 validation of C^-1 is Iwasawa time); only ``profile`` is timed wherever it
-is called, and its time stays in the stage that called it.  The table gives, per class and n, the
-median over inputs and rounds of each stage and of the whole call, in ms.
-A lookup point that the imported package lacks is skipped, so the script
-can split an older checkout's ``src`` too.  The benchmark is only read.
-Run from the root of a checkout:
+is called, and its time stays in the stage that called it.  The table
+gives, per class and n, the median over inputs and rounds of each stage
+and of the whole call, in ms.  A lookup point that the imported package
+lacks is skipped, so the script can split an older checkout's ``src`` too.
+The benchmark is only read.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/stage_split.py --seed 1 --rounds 30
     PYTHONPATH=src python3 scripts/stage_split.py --workload planted --seed 1
