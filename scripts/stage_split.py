@@ -15,7 +15,8 @@ looks up in ``schubert.milnor`` and ``schubert.factor`` at call time:
     engine     factorize_su, factorize_symmetric, factorize_skew
     result     CellIdentification.of (the residual)
     profile    factor._rank_profile and factor._certifies, the rank profile
-               of the general engine (part of the engine's time)
+               of W - I that flags all three engines (part of the engine's
+               time)
     rest       the call's time outside the stages from validate to result
 
 A stage called inside another stage counts as part of the outer one (the

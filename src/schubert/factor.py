@@ -16,13 +16,14 @@ boundary-ambiguous.  For a lower cell one QR of W - I, its rows ordered
 by the peel's min-indices, certifies that profile when its margins are
 clear; otherwise the profile is computed, one SVD per trailing block.
 The symmetric and skew-symmetric Cartan models carry analogous unique
-factorizations, which one Cartan peel reads off the increasing
-factorization of B* = B^-1, inverted factor by factor, by iterated Cartan
-conjugation: one half-angle real-axis factor per step for the symmetric
-class, one quaternionic pair ``(A, sigma(A*))`` per step for the skew
-class, each axis read once and all canonicalised in one call when the
-peel ends.  Order reversal conjugates each axis by the running product
-of the factors already passed.
+factorizations, which the same row loop reads off by iterated Cartan
+conjugation: one half-angle real-axis factor per row for the symmetric
+class, one quaternionic pair ``(A, sigma(A*))`` per even row for the skew
+class, each removed from both sides of W.  The axes read are conjugated
+by the half factors below them; they are un-conjugated working up from
+the lowest, canonicalised in one call, and flagged against the rank
+profile of W - I as in the general engine.  Order reversal conjugates
+each axis by the running product of the factors already passed.
 
 The ``schubert_map*`` functions are the forward cell parametrizations;
 together with the factorization engines they form the round-trip oracles
@@ -182,34 +183,44 @@ def _split_correction(
 
 
 def _peel_rows(
-    w: np.ndarray, tol: ToleranceConfig
+    w: np.ndarray, tol: ToleranceConfig, klass: str = "general"
 ) -> tuple[np.ndarray, np.ndarray, list[int], float, bool]:
-    """Peel the factors with min-index >= 2 off the right of the unitary
-    ``w``, reading each from the bottom row it still moves.
+    """Peel the factors with min-index >= 2 off the unitary ``w`` of the
+    class, reading each from the bottom row it still moves.
 
-    Returns the angles and canonical axes of the factors, stacked in
-    product order, with their min-indices; the correction angle left at
-    ``w[0, 0]``; and whether a row deviation, a pivot coordinate or the
-    correction angle landed in its gray zone.  Rows below j that a factor
-    moves and no later factor touches are multiples of the same axis; the
-    angle is fitted over all of them, which keeps it well conditioned when
-    the pivot of row j is small but the line has weight in those rows.  Each
-    axis is snapped before its rank-1 update, which touches only the rows
-    not yet read and the columns of the factor's support.
+    Row j reads a factor A(theta, x) with x on C^j.  Rows below j that a
+    factor moves and no later factor touches are multiples of the same
+    axis; the angle is fitted over all of them, which keeps it well
+    conditioned when the pivot of row j is small but the line has weight in
+    those rows.  The axis is snapped, and then the class removes the factor:
+    - general: off the right, by a rank-1 update of the rows not yet read;
+    - symmetric: the half factor A(phi, y), phi = theta / 2 and y = conj(x),
+      two-sided, ``w <- A(-phi, y) w A(-phi, y)^T``;
+    - skew: only the even rows are read, x must not move coordinate j - 1,
+      and the pair A(theta, y) A(theta, x), y = -j x on C^(j - 1), is removed
+      by ``w <- A(-theta, y) w A(-theta, x)``.  Row j - 1 must then be
+      e_(j-1): a deviation above ``tol.structure`` raises.
+
+    Returns the angles and axes of the factors, stacked in product order,
+    with the rows they belong to; the angle left at ``w[0, 0]``; and whether
+    a row deviation, a pivot coordinate, a skew pair's leftover or that
+    angle landed in its gray zone.  A general axis is canonical and its row
+    is its min-index.  A Cartan axis is the y conjugated by the half
+    factors before it, and its row the one it was read for, j - 1 for a
+    skew pair.
     """
     n, angle, snap = w.shape[0], tol.tol_angle, tol.axis_snap
     w = w.copy()
-    gray = False
-    # entry j-1 holds the factor read off row j, if any
+    gray, skew = False, klass == "skew"
+    # entry i holds the factor of row i + 1, if any
     thetas, axes, read = np.zeros(n), np.zeros((n, n), dtype=np.complex128), np.zeros(n, dtype=bool)
-    for j in range(n, 1, -1):
+    for j in range(n, 1, -2 if skew else -1):
         dev = -np.conj(w[j - 1, :j])
         dev[j - 1] += 1.0
         d = math.sqrt(np.vdot(dev, dev).real)
         gray = gray or in_gray_zone(d, angle)
         if d < angle:
             continue
-        read[j - 1] = True
         x = dev / d
         gray = gray or in_gray_zone(abs(x[j - 1]), snap, span=4.0)
         # row r carries conj(1 - e^(i theta)) conj(x_r) x while it is a
@@ -226,15 +237,38 @@ def _peel_rows(
             den += abs(x[r - 1]) ** 2
         if not den:
             raise ConvergenceFailure(f"row {j} deviates by {d:.3g} off its zero pivot")
-        thetas[j - 1] = -cmath.phase(1.0 - num / den)
+        theta = -cmath.phase(1.0 - num / den)
         x *= np.abs(x) > snap  # x is a unit vector
         x /= math.sqrt(np.vdot(x, x).real)
-        axes[j - 1, :j] = x
-        rows = w[: j - 1, :j]
-        rows -= ((rows @ x) * (1.0 - cmath.exp(-1j * thetas[j - 1])))[:, None] * x.conj()
-    thetas, axes = thetas[read], canonical_axis(axes[read], tol)
+        if klass == "general":
+            rows = w[: j - 1, :j]
+            rows -= ((rows @ x) * (1.0 - cmath.exp(-1j * theta)))[:, None] * x.conj()
+            y = x
+        else:
+            if klass == "symmetric":
+                theta, y = canonical_angle(theta) / 2.0, x.conj()
+            elif x[j - 2]:
+                raise StructureViolation(f"the axis of row {j} moves coordinate {j - 1}")
+            else:
+                y = -jmul(x)
+            a, block = 1.0 - cmath.exp(-1j * theta), w[:j, :j]
+            block -= np.outer(a * y, y.conj() @ block)
+            block -= np.outer(block @ x, a * x.conj())
+        if skew:  # the pair's row j - 1 is now e_(j-1), up to its leftover
+            odd = -np.conj(w[j - 2, : j - 1])
+            odd[j - 2] += 1.0
+            e = math.sqrt(np.vdot(odd, odd).real)
+            if e > tol.structure:
+                raise StructureViolation(f"row {j - 1} deviates by {e:.3g} after its pair")
+            gray = gray or in_gray_zone(e, angle)
+        i = j - 1 - skew  # a skew pair belongs to row j - 1
+        thetas[i], axes[i, :j], read[i] = theta, y, True
     phi = float(np.angle(w[0, 0]))
     gray = gray or in_gray_zone(phi, angle)
+    thetas, axes = thetas[read], axes[read]
+    if klass != "general":
+        return thetas, axes, (np.flatnonzero(read) + 1).tolist(), phi, gray
+    axes = canonical_axis(axes, tol)
     return thetas, axes, min_indices(axes, tol).tolist(), phi, gray
 
 
@@ -277,7 +311,7 @@ def _certifies(d: np.ndarray, mins: list[int], tau: float) -> bool:
     N row.  The nonzero part of A has k_j = |S and [j, n]| columns and
     contains a leading k_j x k_j block L of R_SS*, so A has k_j singular
     values of at least sigma_min(L) and the rest 0; L^-1 is a block of
-    R_SS^-*, so sigma_min(L) >= sigma = 1/||R_SS^-1||_F.  By Weyl, B_j has
+    R_SS^-*, so sigma_min(L) >= sigma = sigma_min(R_SS).  By Weyl, B_j has
     k_j singular values >= sigma - e >= 2 GRAY_SPAN tau and the rest
     <= e <= tau / (2 GRAY_SPAN).  So every block has rank k_j, no block has
     a value in the gray zone (tau / GRAY_SPAN, GRAY_SPAN tau), and the SVD
@@ -294,10 +328,19 @@ def _certifies(d: np.ndarray, mins: list[int], tau: float) -> bool:
     e = fro_norm(r[:, k:])
     if e > tau / (2 * GRAY_SPAN):
         return False
-    # sigma_min(R_SS) <= min |r_ii|: a cheap refusal that keeps inv off a singular R_SS
-    floor = 2 * GRAY_SPAN * tau + e
-    return not k or bool(np.abs(r.diagonal()[:k]).min() >= floor
-                         and fro_norm(np.linalg.inv(r[:k, :k])) * floor <= 1.0)
+    return not k or bool(np.linalg.svd(r[:k, :k], compute_uv=False)[-1] >= 2 * GRAY_SPAN * tau + e)
+
+
+def _profile_flag(w: np.ndarray, mins: list[int], tol: ToleranceConfig) -> bool:
+    """Whether the rank profile of W - I differs from ``mins`` or was decided
+    in a gray zone.  For a lower cell one QR first tries to prove that it
+    does neither (``_certifies``); only when it cannot are the trailing
+    blocks' SVDs taken."""
+    n = w.shape[0]
+    if len(mins) < n - 1 and _certifies(w - np.eye(n), mins, tol.tol_angle):
+        return False
+    profile, gray = _rank_profile(w, tol)
+    return gray or profile != mins
 
 
 def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -335,18 +378,14 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     thetas, axes, mins, phi, gray = _peel_rows(w, tol)
     if any(y <= x for x, y in zip(mins, mins[1:])):
         raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
-    if len(mins) < n - 1 and _certifies(w - np.eye(n), mins, tol.tol_angle):
-        profile, profile_gray = mins, False
-    else:
-        profile, profile_gray = _rank_profile(w, tol)
+    flag = gray or _profile_flag(w, mins, tol)
     factors = tuple(map(PseudoRotation.of_canonical, thetas, axes))
     correction = PseudoRotation.of_canonical(phi, _e1(n)) if abs(phi) >= tol.tol_angle else None
     p = product_matrix(factors if correction is None else [correction, *factors], n)
     residual = fro_norm(p - b)
     if residual > tol.structure * n:
         raise ConvergenceFailure(f"reconstruction residual {residual:.3g} too large")
-    return OrderedFactorization("general", "increasing", n, factors, correction, residual,
-                                gray or profile_gray or profile != mins)
+    return OrderedFactorization("general", "increasing", n, factors, correction, residual, flag)
 
 
 def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -399,45 +438,37 @@ def reverse_order(
     return replace(fact, residual=residual)
 
 
-def _partner_gap(x: np.ndarray, theta_x: float, y: np.ndarray, theta_y: float) -> float:
-    """``||A_(theta_x, x) - A_(theta_y, y)||_F`` for unit x, y in O(n): the two
-    rank-1 terms restricted to span(x, y), where y = c x + s e, e a unit vector."""
-    c = complex(np.vdot(x, y))
-    e = y - c * x
-    s, c2 = math.sqrt(np.vdot(e, e).real), abs(c) ** 2
-    alpha, beta = 1.0 - cmath.exp(1j * theta_x), 1.0 - cmath.exp(1j * theta_y)
-    return math.sqrt(abs(beta * c2 - alpha) ** 2 + abs(beta) ** 2 * s * s * (2.0 * c2 + s * s))
-
-
 def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     """Increasing factorization of a symmetric or skew Cartan model element
-    by iterated Cartan conjugation, working up the increasing factorization
-    of B* = B^-1 with each factor inverted.
+    by iterated Cartan conjugation, peeled two-sided off its unitary polar
+    factor W.
 
-    The symmetric class peels one factor at a time: it must be a real-axis
-    rotation, and its half-angle square root C is split off.  The skew
-    class peels one quaternionic pair at a time: the factor count is even,
-    the lowest min-index odd, its partner one higher and equal to
-    ``sigma(A_1*)``, which is recomputed rather than trusted from the
-    factorization, and C = A_1.  Each stacked axis is read once, off the
-    row the earlier C have conjugated (a symmetric one as the real part
-    left by stripping the phase of its largest coordinate), snapped, and
-    conjugates the rows not yet read by ``C^-1`` with one rank-1 update.
-    The gates are checked when the peel ends, on one canonical stack.
+    ``_peel_rows`` reads each half factor (symmetric) or quaternionic pair
+    (skew) off one row of W, highest min-index first, and removes it from
+    both sides.  The axis it reads is y_i = R_(i-1) x_i, x_i conjugated by
+    the product R_(i-1) of the half factors below it, the symmetric
+    correction A(phi / 2, e_1) first; the skew correction pair is read off
+    row 2.  Working up from the lowest, x_i = R_(i-1)* y_i (a symmetric one
+    then as the real part left by stripping the phase of its largest
+    coordinate), snapped, and R_i = R_(i-1) A(theta_i, x_i) by one rank-1
+    update.  So R ends as the product P of the halves, and P P^T, or
+    P sigma(P*), is the one reconstruction.  The axes are canonicalised in
+    one call, and their min-indices must be the rows read.  The result is
+    flagged when a decision of the peel landed in its gray zone, or when
+    the rank profile of W - I (``_certifies`` or ``_rank_profile``)
+    differs from the rows read, both rows of a skew pair and min-index 1
+    left out.
     """
-    elem = model_element(b, klass, tol)
-    b = elem.matrix
+    b = model_element(b, klass, tol).matrix
     n = b.shape[0]
-    step = 2 if klass == "skew" else 1
-    inc = factorize_su(elem.adjoint(), tol)
-    work = inc.all_factors()
-    if len(work) % step != 0:
-        raise StructureViolation(f"odd factor count {len(work)}")
-    thetas = np.array([canonical_angle(-f.theta) for f in work]) / (2.0 if klass == "symmetric" else 1.0)
-    axes = np.array([f.axis for f in work], dtype=np.complex128).reshape(len(work), n)
-    imag, snap = np.zeros(len(work)), tol.axis_snap
-    for i in range(0, len(work), step):
-        x = axes[i]
+    u, _, vh = np.linalg.svd(b)
+    w = u @ vh
+    thetas, axes, rows, phi, gray = _peel_rows(w, tol, klass)
+    if klass == "symmetric" and abs(phi) >= tol.tol_angle:
+        thetas, axes, rows = np.r_[phi / 2.0, thetas], np.vstack([_e1(n), axes]), [1, *rows]
+    r, imag, snap = np.eye(n, dtype=np.complex128), np.zeros(len(rows)), tol.axis_snap
+    for i, y in enumerate(axes):
+        x = (y.conj() @ r).conj()  # R_(i-1)^-1 y_i = R_(i-1)* y_i
         if klass == "symmetric":
             p = x[np.abs(x).argmax()]
             x = x * (p.conjugate() / abs(p))
@@ -445,31 +476,23 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
             x = x.real
         x = x * (np.abs(x) > snap * math.sqrt(np.vdot(x, x).real))
         axes[i] = x = x / math.sqrt(np.vdot(x, x).real)
-        rest = axes[i + step :]
-        rest -= ((rest @ x.conj()) * (1.0 - cmath.exp(-1j * thetas[i])))[:, None] * x
+        r -= ((r @ x) * (1.0 - cmath.exp(1j * thetas[i])))[:, None] * x.conj()
     bad = imag[imag > 100.0 * tol.tol_residual]
     if len(bad):
         raise RealAxisExtractionFailure(f"imaginary residual {bad[0]:.3g} on a symmetric-model axis")
     axes = canonical_axis(axes, tol)
-    if klass == "skew":
-        mins = min_indices(axes, tol).tolist()
-        for i in range(0, len(work), 2):
-            m1, m2 = mins[i], mins[i + 1]
-            if m1 % 2 == 0:
-                raise StructureViolation(f"lowest min-index {m1} is even")
-            if m2 != m1 + 1:
-                raise StructureViolation(f"pair indices ({m1}, {m2}) are not consecutive")
-            gap = _partner_gap(axes[i + 1], thetas[i + 1], jmul(axes[i]), thetas[i])
-            if gap > tol.structure:
-                raise StructureViolation(f"j-partner deviates by {gap:.3g}")
-    halves = list(map(PseudoRotation.of_canonical, thetas[::step], axes[::step]))
-    correction, factors = _split_correction(halves, tol)
-    p = product_matrix(factors if correction is None else [correction, *factors], n)
-    residual = fro_norm(_model_matrix(p, klass) - b)
+    mins = min_indices(axes, tol).tolist()
+    if mins != rows:
+        raise ConvergenceFailure(f"half factors with min-indices {mins} read off rows {rows}")
+    moved = [m for k in rows for m in ((k, k + 1) if klass == "skew" else (k,)) if m > 1]
+    start = int(rows[:1] == [1])
+    halves = tuple(map(PseudoRotation.of_canonical, thetas[start:], axes[start:]))
+    correction = PseudoRotation.of_canonical(thetas[0], _e1(n)) if start else None
+    residual = fro_norm(_model_matrix(r, klass) - b)
     if residual > tol.structure * n:
         raise ConvergenceFailure(f"{klass} reconstruction residual {residual:.3g}")
-    return OrderedFactorization(klass, "increasing", n, tuple(factors), correction, residual,
-                                inc.boundary_ambiguous)
+    return OrderedFactorization(klass, "increasing", n, halves, correction, residual,
+                                gray or _profile_flag(w, moved, tol))
 
 
 def factorize_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:

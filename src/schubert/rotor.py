@@ -5,8 +5,8 @@ the unit vector ``x`` by ``e^(i theta)`` and fixes its orthogonal
 hyperplane; in matrix form ``I - (1 - e^(i theta)) x conj(x)^T``.  This
 module provides the Whitehead interchange, the lemma that reorders a product
 of two pseudo-rotations against the standard flag, the quaternionic structure
-``j x = J conj(x)`` on C^(2n) with its H-pseudo-rotations, and the Cartan
-conjugacy actions for the three matrix classes.
+``j x = J conj(x)`` on C^(2n), the Cartan involutions of the three matrix
+classes and membership in their compact Cartan models.
 """
 from __future__ import annotations
 
@@ -20,13 +20,13 @@ from .errors import (
     DimensionMismatch,
     NotInFiber,
     NotInModel,
-    NotUnitary,
     OddDimension,
     PreconditionViolated,
     ZeroVector,
 )
 from .cohom import check_class
-from .numlin import FiberElement, as_square_matrix, hermitian_inner, is_symmetric, is_unitary, jn
+from .numlin import FiberElement, as_square_matrix, hermitian_inner, is_symmetric, jn
+from .numlin import is_unitary  # noqa: F401  (a lookup point of perfbench/tracer.py)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 TAU = 2.0 * math.pi
@@ -242,53 +242,6 @@ def jmul(x) -> np.ndarray:
     return out
 
 
-def hline_canonical(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Canonical unit representative of the quaternionic line of ``x``.
-
-    For an H-line minimally inside C^(2m) this is the unique unit vector of
-    the line lying in C^(2m-1) with real positive coordinate 2m-1.
-    """
-    xv = np.asarray(x, dtype=np.complex128)
-    norm = float(np.linalg.norm(xv))
-    if norm <= tol.tol_zero:
-        raise ZeroVector("zero vector spans no quaternionic line")
-    a = xv / norm
-    b = jmul(a)
-    qa, qb = min_index(a, tol), min_index(b, tol)
-    if qa == qb:
-        b = b - (b[qa - 1] / a[qa - 1]) * a
-        qb = min_index(b, tol)
-    y = a if qa < qb else b
-    return canonical_axis(y, tol)
-
-
-@dataclass(frozen=True)
-class HPseudoRotation:
-    """H-pseudo-rotation: the commuting product ``A_(theta,x) A_(theta,jx)``
-    rotating a quaternionic line; determinant ``e^(2 i theta)``.  A
-    non-finite angle is refused."""
-
-    theta: float
-    hline: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _finite_angle(self.theta))
-        object.__setattr__(self, "hline", hline_canonical(self.hline))
-
-    @property
-    def n(self) -> int:
-        return len(self.hline)
-
-    def halves(self) -> tuple[PseudoRotation, PseudoRotation]:
-        return (
-            PseudoRotation(self.theta, self.hline),
-            PseudoRotation(self.theta, jmul(self.hline)),
-        )
-
-    def matrix(self) -> np.ndarray:
-        return product_matrix(self.halves(), self.n)
-
-
 def sigma(c, klass: str) -> np.ndarray:
     """Cartan involution of the given class: identity, entrywise
     conjugation, or J-twisted conjugation ``J conj(C) J^-1``."""
@@ -333,21 +286,3 @@ def in_cartan_model(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     except NotInModel:
         return False
     return True
-
-
-def cartan_conjugate(
-    a, b, klass: str, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Cartan conjugacy ``B -> A B sigma(A*)`` preserving the class model.
-
-    Concretely ``A B A^T`` for the symmetric class and
-    ``A (B J) A^T J^-1`` for the skew class.
-    """
-    a = as_square_matrix(a)
-    b = as_square_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch("conjugator and model element differ in size")
-    if not is_unitary(a, tol):
-        raise NotUnitary("Cartan conjugation requires a unitary conjugator")
-    model_element(b, klass, tol)
-    return a @ b @ sigma(a.conj().T, klass)

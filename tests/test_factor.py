@@ -366,8 +366,8 @@ class TestStackedPeel:
     @pytest.mark.parametrize("klass", ("symmetric", "skew"))
     @pytest.mark.parametrize("n", (8, 16, 32))
     def test_cartan_canonical_axis_calls(self, monkeypatch, klass, n):
-        """A Cartan peel canonicalises twice whatever n: once in the row peel
-        and once for its half factors."""
+        """A Cartan peel canonicalises once whatever n: its half factors, when
+        they are un-conjugated."""
         calls = []
 
         def counted(x, tol=DEFAULT_TOL):
@@ -381,7 +381,7 @@ class TestStackedPeel:
         for seed in range(2):
             calls.clear()
             engine(cartan_model_sample(n, klass, seed))
-            assert len(calls) == 2, calls
+            assert len(calls) == 1, calls
 
 
 def _lower_entries(rng, n, least=0):
@@ -472,23 +472,52 @@ class TestRankCertificate:
                 for j in others:
                     assert not factor._certifies(d, sorted(mins + [j]), tau), (mins, j)
 
+    def test_bound_is_the_least_singular_value(self, rng):
+        """Five S rows of norm 2e-7, orthogonal: sigma_min(R_SS) = 2e-7 clears
+        the floor 16 tau = 1.6e-7, which 1 / ||R_SS^-1||_F = 2e-7 / sqrt(5)
+        does not."""
+        n, mins = 12, [3, 5, 6, 9, 12]
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        d = np.zeros((n, n), dtype=np.complex128)
+        d[np.array(mins) - 1] = 2e-7 * q[: len(mins)]
+        assert factor._certifies(d, mins, DEFAULT_TOL.tol_angle)
+        assert factor._rank_profile(np.eye(n) + d, DEFAULT_TOL) == (mins, False)
+
+    @pytest.mark.parametrize("n", (20, 24))
+    def test_certified_lower_cells(self, n):
+        """Every certified cell of 40 has the profile the certificate names,
+        and no more cells are refused than 1 / ||R_SS^-1||_F refused: 3 at
+        n = 20 and 4 at n = 24, where sigma_min(R_SS) itself is below the
+        floor."""
+        rng, refused = np.random.default_rng(40 + n), 0
+        for _ in range(40):
+            entries = _lower_entries(rng, n)
+            w, mins = _polar_mins(cell_sample(SchubertSymbol(entries, n), int(rng.integers(2**31))))
+            if factor._certifies(w - np.eye(n), mins, DEFAULT_TOL.tol_angle):
+                assert factor._rank_profile(w, DEFAULT_TOL) == (mins, False), entries
+            else:
+                refused += 1
+        assert refused <= {20: 3, 24: 4}[n]
+
     def test_svd_calls(self, monkeypatch):
-        """A lower cell at n = 12 takes only the polar factor's SVD; the top
-        cell, where every Haar input lies, one more for the profile."""
+        """A lower cell at n = 12 takes the polar factor's SVD and the
+        certificate's of its 5 x 5 block R_SS, and no trailing-block SVD; the
+        top cell, where every Haar input lies, one of rows 2..n for the
+        profile."""
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
 
         svd = np.linalg.svd
         lower = cell_sample(SchubertSymbol((3, 5, 6, 9, 12), 12), seed=3)
         haar = numlin.haar_sample(12, "special_unitary", 3)
         monkeypatch.setattr(np.linalg, "svd", counted)
-        for b, want in ((lower, 1), (haar, 2)):
+        for b, want in ((lower, [(12, 12), (5, 5)]), (haar, [(12, 12), (11, 12)])):
             calls.clear()
             factorize_su(b)
-            assert len(calls) == want
+            assert calls == want
 
 
 class TestDecreasingAndReverse:
@@ -635,21 +664,63 @@ class TestSkewEngine:
         with pytest.raises(NotInModel):
             factorize_skew(np.eye(3))
 
-    def test_partner_gap_matches_dense(self, rng):
-        def unit(v):
-            return v / np.linalg.norm(v)
 
-        for i in range(400):
-            n = int(rng.integers(2, 17))
-            x = unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            y = unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            tx, ty = rng.uniform(-np.pi, np.pi, 2)
-            if i % 2:  # near-equal pair, as a skew engine meets it
-                y = unit(x * np.exp(1j * rng.uniform(-3, 3)) + 10.0 ** rng.uniform(-16, -6) * y)
-                ty = tx + 10.0 ** rng.uniform(-16, -6)
-            dense = np.linalg.norm(PseudoRotation.of_canonical(tx, x).matrix()
-                                   - PseudoRotation.of_canonical(ty, y).matrix())
-            assert abs(factor._partner_gap(x, tx, y, ty) - dense) <= 1e-14
+class TestCartanPeel:
+    """The gates of the two-sided Cartan peel, and inputs that the route
+    over the factorization of B* refused."""
+
+    @pytest.mark.parametrize("entries,n,klass", [((2,), 4, "skew"), ((2, 3), 3, "symmetric")])
+    def test_top_cell_unflagged(self, entries, n, klass):
+        """The correction's row 1 (a skew pair's rows 1 and 2 give 2) is no
+        row of the rank profile, so it is left out of the comparison."""
+        engine = factorize_symmetric if klass == "symmetric" else factorize_skew
+        for seed in range(10):
+            f = engine(cell_sample(SchubertSymbol(entries, n, klass), seed))
+            assert f.symbol().entries == entries and not f.boundary_ambiguous, seed
+
+    @pytest.mark.parametrize("entries,n,seed,tops,dress", [
+        ((2, 3, 4, 5, 6), 6, 1589409352, {2: 4.124048733079918e-08}, False),
+        ((2, 3, 4, 5, 6, 7), 7, 140497424, {3: 4.3452141419277715e-08}, False),
+        ((3, 4, 5, 6, 7, 8), 8, 1610022671, {2: 4.148318517338926e-08}, True),
+    ])
+    def test_half_factors_keep_the_rows_read(self, entries, n, seed, tops, dress):
+        """A line pushed to about 4e-8 un-conjugates onto the min-index of the
+        factor below it: a repeated entry, which no symbol may hold."""
+        b = _pushed_cell(entries, n, seed, tops, "symmetric", dress)
+        with pytest.raises(ConvergenceFailure, match="min-indices"):
+            milnor.identify(b, "symmetric")
+
+    def test_skew_axis_must_leave_the_odd_coordinate(self):
+        """A pair read off row j lies on C^(j - 1) + j C^(j - 1), so its axis
+        has no coordinate j - 1; a unitary outside the model has one."""
+        with pytest.raises(StructureViolation, match="coordinate 3"):
+            factor._peel_rows(numlin.haar_sample(4, "special_unitary", 0), DEFAULT_TOL, "skew")
+
+    @pytest.mark.parametrize("delta,left", [(1e-6, None), (1.2e-8, None), (5e-9, True), (3e-9, True),
+                                            (1e-11, False)])
+    def test_odd_row_after_the_pair(self, delta, left):
+        """Row 3 of a skew point at n = 4 turned by delta: after the pair of
+        row 4 is removed it deviates by about delta, which raises above
+        tol.structure (1e-8) and flags in the gray zone of tol_angle."""
+        w = PseudoRotation(delta, e(3, 4)).matrix() @ cell_sample(SchubertSymbol((2,), 4, "skew"), 3)
+        if left is None:
+            with pytest.raises(StructureViolation, match="row 3 deviates"):
+                factor._peel_rows(w, DEFAULT_TOL, "skew")
+        else:
+            assert factor._peel_rows(w, DEFAULT_TOL, "skew")[4] is left
+
+    def test_dressed_skew_point_of_a_lower_cell(self):
+        """The route over B* raised "j-partner deviates by 2.32e-08" here."""
+        b = milnor.fiber_sample(SchubertSymbol((2, 6, 7, 8), 16, "skew"), 1495112468, dress=True)
+        cid = milnor.identify(b, "skew")
+        assert cid.boundary_ambiguous or cid.symbol.entries == (2, 6, 7, 8)
+
+    def test_dressed_symmetric_pushed_line(self):
+        """The route over B* raised RealAxisExtractionFailure here, an
+        imaginary residual of 5.6e-7 on an axis."""
+        b = _pushed_cell((3, 4), 4, 263773726, {1: 1e-5}, "symmetric", dress=True)
+        cid = milnor.identify(b, "symmetric")
+        assert cid.boundary_ambiguous or cid.symbol.entries == (3, 4)
 
 
 def _real_axis(x, tol):
@@ -732,26 +803,51 @@ def _parity_inputs():
     return cases
 
 
+def _planted_halves(symbol, seed, tol=DEFAULT_TOL):
+    """The half factors planted in ``fiber_sample(symbol, seed)``, the
+    correction first, in the engines' form: a symmetric half angle outside
+    (-pi/2, pi/2] is moved by pi, which splits off the real reflection
+    A(pi, x), and conjugating the planted point's inner factors by it moves
+    every later axis by that reflection."""
+    klass = symbol.klass
+    params = sample_interior_params(symbol, np.random.default_rng(seed))
+    rots = factor._cell_rotations(symbol, params, klass, np.pi if klass == "symmetric" else 2 * np.pi)
+    out = []
+    for i, r in enumerate(rots):
+        if klass == "symmetric" and not -np.pi / 2 < r.theta <= np.pi / 2:
+            reflect = PseudoRotation.of_canonical(np.pi, r.axis).matrix()
+            rots[i + 1:] = [PseudoRotation(s.theta, reflect @ s.axis) for s in rots[i + 1:]]
+            r = PseudoRotation(r.theta - np.copysign(np.pi, r.theta), r.axis)
+        if abs(r.theta) >= tol.tol_angle:
+            out.append(r)
+    return out
+
+
 class TestCartanEngineParity:
-    """The stacked rank-1 conjugation of the engines against the
-    per-factor loop it replaces."""
+    """The two-sided peel of the engines against the per-factor loop over
+    the factorization of B* that it replaced, and both against the planted
+    factors."""
 
     def test_same_outcome_and_factors(self, monkeypatch):
         raised = set()
         for entries, n, klass, seed, dress in _parity_inputs():
-            b = milnor.fiber_sample(SchubertSymbol(entries, n, klass), seed, dress=dress)
-            m = _engine_input(monkeypatch, b, klass)
+            symbol = SchubertSymbol(entries, n, klass)
+            m = _engine_input(monkeypatch, milnor.fiber_sample(symbol, seed, dress=dress), klass)
             engine = factorize_symmetric if klass == "symmetric" else factorize_skew
-            got, want = _outcome(engine, m), _outcome(lambda x: _per_factor_cartan(x, klass), m)
+            got, want = engine(m), _outcome(lambda x: _per_factor_cartan(x, klass), m)
             case = (entries, n, klass, seed, dress)
             if isinstance(want, type):
-                assert got is want, case
                 raised.add(want)
+                assert got.boundary_ambiguous or got.symbol().entries == entries, case
                 continue
             assert got.symbol().entries == want.symbol().entries, case
             assert got.boundary_ambiguous == want.boundary_ambiguous, case
-            pairs = list(zip(got.all_factors(), want.all_factors(), strict=True))
-            assert all(abs(f.theta - g.theta) <= 1e-12 and np.max(np.abs(f.axis - g.axis)) <= 1e-12
+            if got.boundary_ambiguous:
+                continue
+            # both engines sit within about 1e-10 of the planted factors
+            bound = 1e-9 if dress else 1e-10
+            pairs = list(zip(got.all_factors(), _planted_halves(symbol, seed), strict=True))
+            assert all(abs(f.theta - g.theta) <= bound and np.max(np.abs(f.axis - g.axis)) <= bound
                        for f, g in pairs), case
         assert StructureViolation in raised
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from schubert import numlin, rotor
 from schubert.errors import PreconditionViolated, ZeroVector
-from schubert.rotor import HPseudoRotation, PseudoRotation
+from schubert.rotor import PseudoRotation
 
 from conftest import e
 
@@ -205,37 +205,15 @@ class TestQuaternionic:
         lhs = numlin.hermitian_inner(rotor.jmul(x), rotor.jmul(y))
         assert abs(lhs - np.conj(numlin.hermitian_inner(x, y))) < 1e-12
 
-    def test_hline_e1(self):
-        assert_allclose(rotor.hline_canonical(e(1, 2)), e(1, 2))
-
-    def test_hline_e2_same_line(self):
-        assert_allclose(rotor.hline_canonical(e(2, 2)), e(1, 2), atol=1e-14)
-
-    def test_hline_contract(self, rng):
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        y = rotor.hline_canonical(x)
-        assert abs(np.linalg.norm(y) - 1) < 1e-12
-        k = rotor.min_index(y)
-        assert k % 2 == 1  # representative sits in C^(2m-1)
-        assert abs(y[k - 1].imag) < 1e-14 and y[k - 1].real > 0
-        # y lies in the quaternionic span of x
-        basis = np.column_stack([x / np.linalg.norm(x), rotor.jmul(x / np.linalg.norm(x))])
-        q, _ = np.linalg.qr(basis)
-        assert np.linalg.norm(y - q @ (q.conj().T @ y)) < 1e-12
-        assert_allclose(rotor.hline_canonical(y), y, atol=1e-12)
-
-    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_angle_refused(self, theta):
-        with pytest.raises(PreconditionViolated, match="not finite"):
-            HPseudoRotation(theta, e(1, 4))
-
     def test_hrotation_properties(self, rng):
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        hrot = HPseudoRotation(0.9, x)
-        one, two = hrot.halves()
+        """The quaternionic pair A(theta, x) A(theta, jx) that a skew peel
+        removes: its halves commute, its determinant is e^(2 i theta), and it
+        commutes with j up to the adjoint."""
+        x = random_axis(rng, 6)
+        one, two = PseudoRotation(0.9, x), PseudoRotation(0.9, rotor.jmul(x))
         assert np.linalg.norm(one.matrix() @ two.matrix() - two.matrix() @ one.matrix()) < 1e-12
-        m = hrot.matrix()
-        assert abs(np.linalg.det(m) - np.exp(2j * hrot.theta)) < 1e-12
+        m = rotor.product_matrix([one, two], 6)
+        assert abs(np.linalg.det(m) - np.exp(1.8j)) < 1e-12
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         assert np.linalg.norm(m @ rotor.jmul(v) - rotor.jmul(m.conj().T @ v)) < 1e-10
 
@@ -260,28 +238,35 @@ class TestQuaternionic:
 
 
 class TestCartan:
+    """The Cartan action B -> A B sigma(A*), which keeps the model of its
+    class.  A skew peel removes a pair as this action of A(-theta, y), since
+    sigma(A(-theta, y)*) = A(-theta, j y)."""
+
     def test_identity_conjugator(self, rng):
-        b = numlin.haar_sample(3, "special_unitary", rng)
-        b = b @ b.T
-        out = rotor.cartan_conjugate(np.eye(3), b, "symmetric")
-        assert_allclose(out, b)
+        b = numlin.haar_sample(4, "special_unitary", rng)
+        for klass, m in (("general", b), ("symmetric", b @ b.T), ("skew", b @ numlin.jn(2) @ b.T @ -numlin.jn(2))):
+            assert_allclose(rotor.sigma(np.eye(4), klass), np.eye(4))
+            assert rotor.in_cartan_model(m, klass)
 
     def test_symmetric_membership(self, rng):
         a = numlin.haar_sample(3, "special_unitary", rng)
-        out = rotor.cartan_conjugate(a, np.eye(3), "symmetric")
+        out = a @ rotor.sigma(a.conj().T, "symmetric")
         assert rotor.in_cartan_model(out, "symmetric")
         assert_allclose(out, a @ a.T, atol=1e-14)
 
     def test_skew_membership(self, rng):
         a = numlin.haar_sample(4, "special_unitary", rng)
-        out = rotor.cartan_conjugate(a, np.eye(4), "skew")
-        assert rotor.in_cartan_model(out, "skew")
+        assert rotor.in_cartan_model(a @ rotor.sigma(a.conj().T, "skew"), "skew")
+        c = PseudoRotation(-0.7, random_axis(rng, 4, 3))
+        partner = PseudoRotation(-0.7, rotor.jmul(c.axis)).matrix()
+        assert_allclose(rotor.sigma(c.matrix().conj().T, "skew"), partner, atol=1e-14)
 
     def test_rejects_non_model(self):
         from schubert.errors import NotInModel
 
+        assert not rotor.in_cartan_model(2 * np.eye(2), "symmetric")
         with pytest.raises(NotInModel):
-            rotor.cartan_conjugate(np.eye(2), 2 * np.eye(2), "symmetric")
+            rotor.model_element(2 * np.eye(2), "symmetric")
 
 
 class TestRowNorms:

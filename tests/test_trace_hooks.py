@@ -24,7 +24,7 @@ TOPS = {"general": (2, 4), "symmetric": (2, 3), "skew": (2,)}
 HAAR = {"general": "sl", "symmetric": "sym_fiber", "skew": "skew_fiber"}
 # the layers each identification must pass through, by class and tier
 GENERAL = {"milnor.validate", "numlin.iwasawa", "factor.factorize_su"}
-COMPACT = {"milnor.validate", "factor.peel", "factor.factorize_su"}
+COMPACT = {"milnor.validate", "factor.peel"}
 LAYERS = {
     "compact": COMPACT,
     "dressed": COMPACT | {"milnor.undress"},
@@ -65,7 +65,8 @@ def test_each_tier_passes_its_layers(installed, klass):
         installed.enabled = False
         fired = set(installed.summary()["calls"])
         assert (GENERAL if klass == "general" else LAYERS[tier]) - fired == set(), tier
-        # the Cartan engines factorize B* directly, with no decreasing detour
+        # the Cartan engines peel their input two-sided, with no general engine
         assert "factor.factorize_decreasing" not in fired, tier
+        assert klass == "general" or "factor.factorize_su" not in fired, tier
         assert installed.counts["numlin.det_calls"] > 0
         assert installed.counts["numlin.unitarity_checks"] > 0
