@@ -466,20 +466,19 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     thetas, axes, rows, phi, gray = _peel_rows(w, tol, klass)
     if klass == "symmetric" and abs(phi) >= tol.tol_angle:
         thetas, axes, rows = np.r_[phi / 2.0, thetas], np.vstack([_e1(n), axes]), [1, *rows]
-    r, imag, snap = np.eye(n, dtype=np.complex128), np.zeros(len(rows)), tol.axis_snap
+    r, snap = np.eye(n, dtype=np.complex128), tol.axis_snap
     for i, y in enumerate(axes):
         x = (y.conj() @ r).conj()  # R_(i-1)^-1 y_i = R_(i-1)* y_i
         if klass == "symmetric":
             p = x[np.abs(x).argmax()]
             x = x * (p.conjugate() / abs(p))
-            imag[i] = math.sqrt(np.vdot(x.imag, x.imag).real)
+            imag = math.sqrt(np.vdot(x.imag, x.imag).real)
+            if imag > 100.0 * tol.tol_residual:
+                raise RealAxisExtractionFailure(f"imaginary residual {imag:.3g} on a symmetric-model axis")
             x = x.real
         x = x * (np.abs(x) > snap * math.sqrt(np.vdot(x, x).real))
         axes[i] = x = x / math.sqrt(np.vdot(x, x).real)
         r -= ((r @ x) * (1.0 - cmath.exp(1j * thetas[i])))[:, None] * x.conj()
-    bad = imag[imag > 100.0 * tol.tol_residual]
-    if len(bad):
-        raise RealAxisExtractionFailure(f"imaginary residual {bad[0]:.3g} on a symmetric-model axis")
     axes = canonical_axis(axes, tol)
     mins = min_indices(axes, tol).tolist()
     if mins != rows:
