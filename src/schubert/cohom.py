@@ -159,12 +159,6 @@ class ExtElement:
         elem.__dict__.update(terms=_reduced(terms.items(), ring), ring=ring)
         return elem
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono) -> int:
-        return self.terms.get(check_entries(mono), 0)
-
     def __str__(self) -> str:
         return format_element(self)
 
@@ -175,10 +169,6 @@ def _reduced(items, ring: str) -> dict[Monomial, int]:
     if ring not in RINGS:
         raise UnsupportedCoefficients(f"unknown ring {ring!r}")
     return {mono: c for mono, coef in items if (c := int(coef) % 2 if ring == "Z2" else int(coef))}
-
-
-def ext_monomial(m, coef: int = 1, ring: str = "Z") -> ExtElement:
-    return ExtElement._trusted({check_entries(m): coef}, ring)
 
 
 def _merge_sign(a: Monomial, b: Monomial) -> tuple[Monomial, int]:
@@ -326,10 +316,6 @@ def coproduct_via_primitives(m) -> dict[tuple[Monomial, Monomial], int]:
 
 def full_symbol(n: int) -> Monomial:
     return tuple(range(2, _check_size(n, 2) + 1))
-
-
-def complement_symbol(m, n: int) -> Monomial:
-    return _complement(check_entries(m), n)
 
 
 def _complement(t: Monomial, n) -> Monomial:

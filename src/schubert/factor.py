@@ -22,8 +22,7 @@ class, one quaternionic pair ``(A, sigma(A*))`` per even row for the skew
 class, each removed from both sides of W.  The axes read are conjugated
 by the half factors below them; they are un-conjugated working up from
 the lowest, canonicalised in one call, and flagged against the rank
-profile of W - I as in the general engine.  Order reversal conjugates
-each axis by the running product of the factors already passed.
+profile of W - I as in the general engine.
 
 The ``schubert_map*`` functions are the forward cell parametrizations;
 together with the factorization engines they form the round-trip oracles
@@ -110,10 +109,6 @@ class SchubertSymbol:
     def length(self) -> int:
         return len(self.entries)
 
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
     def dim(self) -> int:
         return cohom.cell_dim(self.entries, self.klass)
 
@@ -126,11 +121,12 @@ class OrderedFactorization:
     """A product of pseudo-rotations with monotone min-indices.
 
     ``factors`` holds the symbol-carrying rotations in product order;
-    ``correction`` is the optional min-index-1 factor (leading for
-    increasing order, trailing for decreasing).  For the symmetric class
-    the factors are the half-angle rotations C_j and the matrix is
-    ``P P^T`` for P the plain product; for the skew class they are the
-    quaternionic half factors and the matrix is ``P sigma(P*)``.
+    ``correction`` is the optional leading min-index-1 factor of an
+    increasing factorization (a decreasing one ends with that factor among
+    ``factors``).  For the symmetric class the factors are the half-angle
+    rotations C_j and the matrix is ``P P^T`` for P the plain product; for
+    the skew class they are the quaternionic half factors and the matrix is
+    ``P sigma(P*)``.
     """
 
     klass: str
@@ -143,10 +139,7 @@ class OrderedFactorization:
 
     def all_factors(self) -> list[PseudoRotation]:
         """Factors in product order, correction included."""
-        flat = list(self.factors)
-        if self.correction is not None:
-            flat = flat + [self.correction] if self.order == "decreasing" else [self.correction] + flat
-        return flat
+        return list(self.factors) if self.correction is None else [self.correction, *self.factors]
 
     def matrix(self) -> np.ndarray:
         return _model_matrix(product_matrix(self.all_factors(), self.ambient), self.klass)
@@ -172,14 +165,6 @@ def _model_matrix(p: np.ndarray, klass: str) -> np.ndarray:
     if klass == "symmetric":
         return p @ p.T
     return p @ _sigma(p.conj().T, "skew")
-
-
-def _split_correction(
-    work: list[PseudoRotation], tol: ToleranceConfig
-) -> tuple[Optional[PseudoRotation], list[PseudoRotation]]:
-    if work and work[0].min_index(tol) == 1:
-        return PseudoRotation.of_canonical(work[0].theta, _e1(work[0].n)), work[1:]
-    return None, work
 
 
 def _peel_rows(
@@ -335,9 +320,12 @@ def _profile_flag(w: np.ndarray, mins: list[int], tol: ToleranceConfig) -> bool:
     """Whether the rank profile of W - I differs from ``mins`` or was decided
     in a gray zone.  For a lower cell one QR first tries to prove that it
     does neither (``_certifies``); only when it cannot are the trailing
-    blocks' SVDs taken."""
+    blocks' SVDs taken.  When ``mins`` is 3..n the SVD loop stops at its
+    second block if the certificate would hold, so the certificate could
+    only trade one SVD for its QR, and the profile is taken directly."""
     n = w.shape[0]
-    if len(mins) < n - 1 and _certifies(w - np.eye(n), mins, tol.tol_angle):
+    if (len(mins) < n - 1 and mins != list(range(3, n + 1))
+            and _certifies(w - np.eye(n), mins, tol.tol_angle)):
         return False
     profile, gray = _rank_profile(w, tol)
     return gray or profile != mins
@@ -405,37 +393,6 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
         residual=inc.residual,
         boundary_ambiguous=inc.boundary_ambiguous,
     )
-
-
-def reverse_order(
-    f: OrderedFactorization, tol: ToleranceConfig = DEFAULT_TOL
-) -> OrderedFactorization:
-    """Convert a general factorization between increasing and decreasing
-    order, keeping the product and the min-index multiset fixed.
-
-    Increasing to decreasing uses
-    ``B_i = A_1 ... A_(i-1) A_i A_(i-1)^-1 ... A_1^-1``, and the opposite
-    direction the same chain with every ``A_j`` inverted.  So the axis of
-    ``B_i`` is ``R x_i`` for the running product R of the factors already
-    passed, which one rank-1 update per factor keeps.  The chained axes are
-    canonicalised together with ``tol``.
-    """
-    if f.klass != "general":
-        raise UnsupportedClass("order reversal applies to the general class")
-    inc = f.order == "increasing"
-    asc = f.all_factors() if inc else f.all_factors()[::-1]
-    sign = 1j if inc else -1j
-    r = np.eye(f.ambient, dtype=np.complex128)
-    ys = np.zeros((len(asc), f.ambient), dtype=np.complex128)
-    for i, a in enumerate(asc):
-        ys[i] = r @ a.axis
-        r -= (ys[i] * (1.0 - cmath.exp(sign * a.theta)))[:, None] * a.axis.conj()
-    out = [PseudoRotation.of_canonical(a.theta, y) for a, y in zip(asc, canonical_axis(ys, tol))]
-    correction, factors = (None, out[::-1]) if inc else _split_correction(out, tol)
-    fact = replace(f, order="decreasing" if inc else "increasing", factors=tuple(factors),
-                   correction=correction)
-    residual = float(np.linalg.norm(fact.matrix() - f.matrix()))
-    return replace(fact, residual=residual)
 
 
 def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:

@@ -279,16 +279,6 @@ def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentificat
     return cid if found is None else replace(cid, boundary_ambiguous=True)
 
 
-def identify_symmetric(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
-    """Schubert cell of a symmetric fiber element."""
-    return _identify_congruence(b, "symmetric", tol)
-
-
-def identify_skew(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
-    """Schubert cell of a skew-symmetric fiber element (Pf = 1)."""
-    return _identify_congruence(b, "skew", tol)
-
-
 def identify(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     cohom.check_class(klass)
     if klass == "general":

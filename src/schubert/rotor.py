@@ -278,11 +278,3 @@ def model_element(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> FiberEle
         pass  # like every other failure, NotInModel, which is built only here
     raise NotInModel(f"matrix is not in the {klass} Cartan model")
 
-
-def in_cartan_model(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Membership test for the compact Cartan model of the class."""
-    try:
-        model_element(b, klass, tol)
-    except NotInModel:
-        return False
-    return True

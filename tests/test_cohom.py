@@ -81,7 +81,6 @@ class TestSizes:
         lambda: cohom.generator_degrees("4"),
         lambda: cohom.poincare_dual((2,), 3.0),
         lambda: cohom.full_symbol(3.0),
-        lambda: cohom.complement_symbol((2,), 2.5),
         lambda: cohom.intersection_pairing((2,), (3,), 4.0),
         lambda: cohom.intersection_pairing_via_cup((2,), (3,), 4.0),
     ])
@@ -281,31 +280,31 @@ class TestSigns:
 
 class TestExtAlgebra:
     def test_anticommute(self):
-        e2 = cohom.ext_monomial((2,))
-        e3 = cohom.ext_monomial((3,))
+        e2 = cohom.ExtElement({(2,): 1})
+        e3 = cohom.ExtElement({(3,): 1})
         assert cohom.ext_mul(e2, e3).terms == {(2, 3): 1}
         assert cohom.ext_mul(e3, e2).terms == {(2, 3): -1}
 
     def test_square_zero(self):
-        e2 = cohom.ext_monomial((2,))
-        assert cohom.ext_mul(e2, e2).is_zero()
+        e2 = cohom.ExtElement({(2,): 1})
+        assert cohom.ext_mul(e2, e2).terms == {}
 
     def test_mod2_signs_vanish(self):
-        e2 = cohom.ext_monomial((2,), ring="Z2")
-        e3 = cohom.ext_monomial((3,), ring="Z2")
+        e2 = cohom.ExtElement({(2,): 1}, "Z2")
+        e3 = cohom.ExtElement({(3,): 1}, "Z2")
         assert cohom.ext_mul(e3, e2).terms == {(2, 3): 1}
 
     @given(subsets, subsets, subsets)
     @settings(max_examples=40, deadline=None)
     def test_associativity(self, a, b, c):
-        ea, eb, ec = (cohom.ext_monomial(t) for t in (a, b, c))
+        ea, eb, ec = (cohom.ExtElement({t: 1}) for t in (a, b, c))
         left = cohom.ext_mul(cohom.ext_mul(ea, eb), ec)
         right = cohom.ext_mul(ea, cohom.ext_mul(eb, ec))
         assert left.terms == right.terms
 
     def test_format(self):
         assert cohom.format_element(cohom.kronecker_dual((2, 3))) == "-e(2)e(3)"
-        assert cohom.format_element(cohom.ext_monomial(())) == "1"
+        assert cohom.format_element(cohom.ExtElement({(): 1})) == "1"
         assert cohom.format_element(cohom.ExtElement({})) == "0"
 
 

@@ -27,7 +27,6 @@ from schubert.factor import (
     factorize_skew,
     factorize_su,
     factorize_symmetric,
-    reverse_order,
     sample_interior_params,
     schubert_map,
     schubert_map_sk,
@@ -65,7 +64,7 @@ class TestSchubertSymbol:
 
     def test_attributes(self):
         s = SchubertSymbol((2, 4), 5)
-        assert s.length == 2 and s.weight == 6 and s.dim() == 2 * 6 - 2
+        assert s.length == 2 and s.dim() == 2 * 6 - 2
         assert str(s) == "(2,4)"
 
 
@@ -503,7 +502,8 @@ class TestRankCertificate:
         """A lower cell at n = 12 takes the polar factor's SVD and the
         certificate's of its 5 x 5 block R_SS, and no trailing-block SVD; the
         top cell, where every Haar input lies, one of rows 2..n for the
-        profile."""
+        profile; the cell (3, ..., 12) no certificate, and the two
+        trailing-block SVDs at which the profile stops."""
         calls = []
 
         def counted(a, *args, **kwargs):
@@ -513,8 +513,10 @@ class TestRankCertificate:
         svd = np.linalg.svd
         lower = cell_sample(SchubertSymbol((3, 5, 6, 9, 12), 12), seed=3)
         haar = numlin.haar_sample(12, "special_unitary", 3)
+        below_top = cell_sample(SchubertSymbol(tuple(range(3, 13)), 12), seed=3)
         monkeypatch.setattr(np.linalg, "svd", counted)
-        for b, want in ((lower, [(12, 12), (5, 5)]), (haar, [(12, 12), (11, 12)])):
+        for b, want in ((lower, [(12, 12), (5, 5)]), (haar, [(12, 12), (11, 12)]),
+                        (below_top, [(12, 12), (11, 12), (10, 12)])):
             calls.clear()
             factorize_su(b)
             assert calls == want
@@ -526,11 +528,19 @@ class TestDecreasingAndReverse:
         assert f.factors == ()
 
     def test_single_rotation(self):
-        b = PseudoRotation(1.2, e(2, 3)).matrix() @ PseudoRotation(-1.2, e(1, 3)).matrix()
-        f = factorize_decreasing(b)
-        assert np.linalg.norm(f.matrix() - b) < 1e-10
-        mins = f.min_indices()
-        assert list(mins) == sorted(mins, reverse=True)
+        """The second input snaps with the caller's tight tol, under which its
+        coordinate of 1e-8 is an axis coordinate that the factor must keep."""
+        v = np.array([1e-8, 0.6, 0.8]) / np.linalg.norm([1e-8, 0.6, 0.8])
+        tight = ToleranceConfig(tol_zero=1e-14, tol_residual=1e-12)
+        for b, tol, bound in (
+            (PseudoRotation(1.2, e(2, 3)).matrix() @ PseudoRotation(-1.2, e(1, 3)).matrix(), DEFAULT_TOL, 1e-10),
+            (PseudoRotation(-0.9, e(1, 3)).matrix() @ (np.eye(3) - (1 - np.exp(0.9j)) * np.outer(v, v)), tight, 1e-12),
+        ):
+            f = factorize_decreasing(b, tol)
+            assert f.residual <= bound
+            assert np.linalg.norm(f.matrix() - b) <= bound
+            mins = f.min_indices(tol)
+            assert list(mins) == sorted(mins, reverse=True)
 
     def test_decreasing_reconstruction(self, rng):
         b = numlin.haar_sample(4, "special_unitary", rng)
@@ -540,10 +550,17 @@ class TestDecreasingAndReverse:
         assert all(x > y for x, y in zip(mins, mins[1:]))
 
     def test_residual_is_that_of_the_inverse(self, rng):
-        for n in (2, 5, 9, 16):
-            b = numlin.haar_sample(n, "special_unitary", rng)
-            f = factorize_decreasing(b)
+        """The reported residual is the reconstruction error of B, and the
+        min-indices are those of the increasing factorization with a 1 for
+        its correction."""
+        inputs = [numlin.haar_sample(n, "special_unitary", rng) for n in (2, 5, 9, 16)]
+        inputs.append(cell_sample(SchubertSymbol((2, 5, 7), 9), seed=11))
+        for b in inputs:
+            f, inc = factorize_decreasing(b), factorize_su(b)
             assert abs(f.residual - np.linalg.norm(f.matrix() - b)) <= 1e-14
+            assert f.residual <= 1e-10
+            assert sorted(f.min_indices()) == sorted(
+                list(inc.min_indices()) + ([1] if inc.correction is not None else []))
 
     def test_one_unitarity_check_on_a_raw_array(self, monkeypatch):
         calls = []
@@ -551,34 +568,6 @@ class TestDecreasingAndReverse:
         monkeypatch.setattr(numlin, "is_unitary", lambda *a: calls.append(1) or is_unitary(*a))
         factorize_decreasing(numlin.haar_sample(5, "special_unitary", 3))
         assert len(calls) == 1
-
-    def test_reverse_empty(self):
-        f = factorize_su(np.eye(3))
-        assert reverse_order(f).factors == ()
-
-    def test_reverse_round_trip(self, rng):
-        inputs = [numlin.haar_sample(n, "special_unitary", rng) for n in (2, 5, 9, 16)]
-        inputs.append(cell_sample(SchubertSymbol((2, 5, 7), 9), seed=11))
-        for b in inputs:
-            f = factorize_su(b)
-            g = reverse_order(f)
-            assert g.order == "decreasing"
-            assert np.linalg.norm(g.matrix() - b) <= 1e-10
-            assert sorted(g.min_indices()) == sorted(
-                list(f.min_indices()) + ([1] if f.correction is not None else []))
-            h = reverse_order(g)
-            assert np.linalg.norm(h.matrix() - b) <= 1e-10
-            assert h.min_indices() == f.min_indices()
-
-    def test_reverse_snaps_with_the_callers_tol(self):
-        """A coordinate of 1e-8 is an axis coordinate under a tight tol, and
-        the chained axes must keep it."""
-        v = np.array([1e-8, 0.6, 0.8]) / np.linalg.norm([1e-8, 0.6, 0.8])
-        b = PseudoRotation(-0.9, e(1, 3)).matrix() @ (np.eye(3) - (1 - np.exp(0.9j)) * np.outer(v, v))
-        tight = ToleranceConfig(tol_zero=1e-14, tol_residual=1e-12)
-        g = reverse_order(factorize_su(b, tight), tight)
-        assert g.residual <= 1e-12
-        assert np.linalg.norm(g.matrix() - b) <= 1e-12
 
 
 class TestInvariance:
@@ -755,9 +744,10 @@ def _per_factor_cartan(m, klass, tol=factor.DEFAULT_TOL):
                 raise StructureViolation("j-partner")
         halves.append(c)
         work = [PseudoRotation(f.theta, rotor.apply(c.inverse(), f.axis)) for f in rest]
-    correction, factors = factor._split_correction(halves, tol)
-    n = elem.matrix.shape[0]
-    fact = OrderedFactorization(klass, "increasing", n, tuple(factors), correction,
+    n, correction = elem.matrix.shape[0], None
+    if halves and halves[0].min_index(tol) == 1:
+        correction, halves = PseudoRotation.of_canonical(halves[0].theta, e(1, n)), halves[1:]
+    fact = OrderedFactorization(klass, "increasing", n, tuple(halves), correction,
                                 boundary_ambiguous=dec.boundary_ambiguous)
     residual = float(np.linalg.norm(fact.matrix() - elem.matrix))
     if residual > tol.structure * n:
@@ -888,7 +878,7 @@ class TestSchubertMaps:
     def test_sk_lands_in_model(self, rng):
         sym = SchubertSymbol((2, 3), 6, "skew")
         b = schubert_map_sk(sym, sample_interior_params(sym, rng))
-        assert rotor.in_cartan_model(b, "skew")
+        rotor.model_element(b, "skew")
 
     def test_param_count_checked(self):
         sym = SchubertSymbol((2, 3), 3)

@@ -12,8 +12,6 @@ from schubert.milnor import (
     fiber_sample,
     identify,
     identify_general,
-    identify_skew,
-    identify_symmetric,
     undress_skew,
     undress_symmetric,
 )
@@ -65,19 +63,19 @@ class TestIdentifyGeneral:
 
 class TestIdentifySymmetric:
     def test_identity(self):
-        assert identify_symmetric(np.eye(4)).symbol.entries == ()
+        assert identify(np.eye(4), "symmetric").symbol.entries == ()
 
     def test_planted_dressed_cell(self):
         sym = SchubertSymbol((2, 3), 3, "symmetric")
         b = fiber_sample(sym, seed=13, dress=True)
-        cid = identify_symmetric(b)
+        cid = identify(b, "symmetric")
         assert cid.symbol.entries == (2, 3)
         assert cid.residual <= 1e-8 * np.linalg.norm(b)
 
     def test_generic_fiber_reconstruction(self, rng):
         for _ in range(20):
             b = numlin.haar_sample(4, "sym_fiber", rng)
-            cid = identify_symmetric(b)
+            cid = identify(b, "symmetric")
             assert cid.residual <= 1e-8 * np.linalg.norm(b)
             assert_allclose(cid.reconstruction(), b, atol=1e-8 * np.linalg.norm(b))
 
@@ -104,20 +102,20 @@ class TestIdentifySymmetric:
 
 class TestIdentifySkew:
     def test_j_is_identity_cell(self):
-        cid = identify_skew(numlin.jn(2))
+        cid = identify(numlin.jn(2), "skew")
         assert cid.symbol.entries == ()
 
     def test_planted_dressed_cell(self):
         sym = SchubertSymbol((2,), 4, "skew")
         b = fiber_sample(sym, seed=21, dress=True)
-        cid = identify_skew(b)
+        cid = identify(b, "skew")
         assert cid.symbol.entries == (2,)
         assert cid.residual <= 1e-8 * np.linalg.norm(b)
 
     def test_generic_fiber_structure(self, rng):
         for _ in range(10):
             b = numlin.haar_sample(6, "skew_fiber", rng)
-            cid = identify_skew(b)
+            cid = identify(b, "skew")
             assert cid.residual <= 1e-8 * np.linalg.norm(b)
             assert_allclose(cid.reconstruction(), b, atol=1e-8 * np.linalg.norm(b))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import schubert
 from schubert.errors import DimensionMismatch
 from schubert.numlin import as_square_matrix
 from schubert.tolerances import ToleranceConfig
@@ -46,3 +47,10 @@ class TestMatrixValidation:
         m = np.eye(3, dtype=complex)
         out = as_square_matrix(m.T[0:3, 0:3])
         assert out.shape == (3, 3)
+
+
+def test_exports_resolve_once():
+    """Every name in the package's export list is bound on the package, and
+    none is listed twice."""
+    assert len(set(schubert.__all__)) == len(schubert.__all__)
+    assert [name for name in schubert.__all__ if not hasattr(schubert, name)] == []
