@@ -120,19 +120,22 @@ class SchubertSymbol:
 class OrderedFactorization:
     """A product of pseudo-rotations with monotone min-indices.
 
-    ``factors`` holds the symbol-carrying rotations in product order;
-    ``correction`` is the optional leading min-index-1 factor of an
-    increasing factorization (a decreasing one ends with that factor among
-    ``factors``).  For the symmetric class the factors are the half-angle
-    rotations C_j and the matrix is ``P P^T`` for P the plain product; for
-    the skew class they are the quaternionic half factors and the matrix is
+    ``factors`` holds the symbol-carrying rotations in product order, and
+    ``min_indices`` their axes' min-indices in the same order, as the
+    engine read them at its tolerance; the symbol is read off that tuple
+    and not off the axes again.  ``correction`` is the optional leading
+    min-index-1 factor of an increasing factorization (a decreasing one ends
+    with that factor among ``factors``, and its 1 among ``min_indices``).
+    For the symmetric class the factors are the half-angle rotations C_j and
+    the matrix is ``P P^T`` for P the plain product; for the skew class they
+    are the quaternionic half factors, each min-index odd, and the matrix is
     ``P sigma(P*)``.
     """
 
     klass: str
-    order: str
     ambient: int
     factors: tuple[PseudoRotation, ...]
+    min_indices: tuple[int, ...]
     correction: Optional[PseudoRotation] = None
     residual: float = 0.0
     boundary_ambiguous: bool = False
@@ -144,12 +147,8 @@ class OrderedFactorization:
     def matrix(self) -> np.ndarray:
         return _model_matrix(product_matrix(self.all_factors(), self.ambient), self.klass)
 
-    def min_indices(self, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
-        axes = np.array([f.axis for f in self.factors]).reshape(len(self.factors), self.ambient)
-        return tuple(min_indices(axes, tol).tolist())
-
-    def symbol(self, tol: ToleranceConfig = DEFAULT_TOL) -> SchubertSymbol:
-        mins = sorted(self.min_indices(tol))
+    def symbol(self) -> SchubertSymbol:
+        mins = sorted(self.min_indices)
         if self.klass == "skew":
             entries = tuple((m + 1) // 2 for m in mins)
         else:
@@ -187,12 +186,11 @@ def _peel_rows(
       e_(j-1): a deviation above ``tol.structure`` raises.
 
     Returns the angles and axes of the factors, stacked in product order,
-    with the rows they belong to; the angle left at ``w[0, 0]``; and whether
-    a row deviation, a pivot coordinate, a skew pair's leftover or that
-    angle landed in its gray zone.  A general axis is canonical and its row
-    is its min-index.  A Cartan axis is the y conjugated by the half
-    factors before it, and its row the one it was read for, j - 1 for a
-    skew pair.
+    with the rows they were read for (j - 1 for a skew pair); the angle left
+    at ``w[0, 0]``; and whether a row deviation, a pivot coordinate, a skew
+    pair's leftover or that angle landed in its gray zone.  A general axis
+    is the snapped x, a Cartan axis the y conjugated by the half factors
+    before it; neither is canonical yet.
     """
     n, angle, snap = w.shape[0], tol.tol_angle, tol.axis_snap
     w = w.copy()
@@ -250,11 +248,7 @@ def _peel_rows(
         thetas[i], axes[i, :j], read[i] = theta, y, True
     phi = float(np.angle(w[0, 0]))
     gray = gray or in_gray_zone(phi, angle)
-    thetas, axes = thetas[read], axes[read]
-    if klass != "general":
-        return thetas, axes, (np.flatnonzero(read) + 1).tolist(), phi, gray
-    axes = canonical_axis(axes, tol)
-    return thetas, axes, min_indices(axes, tol).tolist(), phi, gray
+    return thetas[read], axes[read], (np.flatnonzero(read) + 1).tolist(), phi, gray
 
 
 def _rank_profile(w: np.ndarray, tol: ToleranceConfig) -> tuple[list[int], bool]:
@@ -363,7 +357,9 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     n = b.shape[0]
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
-    thetas, axes, mins, phi, gray = _peel_rows(w, tol)
+    thetas, axes, _, phi, gray = _peel_rows(w, tol)
+    axes = canonical_axis(axes, tol)
+    mins = min_indices(axes, tol).tolist()
     if any(y <= x for x, y in zip(mins, mins[1:])):
         raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
     flag = gray or _profile_flag(w, mins, tol)
@@ -373,7 +369,7 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     residual = fro_norm(p - b)
     if residual > tol.structure * n:
         raise ConvergenceFailure(f"reconstruction residual {residual:.3g} too large")
-    return OrderedFactorization("general", "increasing", n, factors, correction, residual, flag)
+    return OrderedFactorization("general", n, factors, tuple(mins), correction, residual, flag)
 
 
 def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
@@ -387,9 +383,9 @@ def factorize_decreasing(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactor
     inc = factorize_su(FiberElement.of_unitary(b, tol).adjoint(), tol)
     return OrderedFactorization(
         klass="general",
-        order="decreasing",
         ambient=inc.ambient,
         factors=tuple(f.inverse() for f in reversed(inc.all_factors())),
+        min_indices=inc.min_indices[::-1] + (() if inc.correction is None else (1,)),
         residual=inc.residual,
         boundary_ambiguous=inc.boundary_ambiguous,
     )
@@ -447,7 +443,7 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     residual = fro_norm(_model_matrix(r, klass) - b)
     if residual > tol.structure * n:
         raise ConvergenceFailure(f"{klass} reconstruction residual {residual:.3g}")
-    return OrderedFactorization(klass, "increasing", n, halves, correction, residual,
+    return OrderedFactorization(klass, n, halves, tuple(rows[start:]), correction, residual,
                                 gray or _profile_flag(w, moved, tol))
 
 

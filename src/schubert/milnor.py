@@ -82,10 +82,10 @@ class CellIdentification:
     factorization: OrderedFactorization
 
     @classmethod
-    def of(cls, fact: OrderedFactorization, compact, witness, b, tol) -> "CellIdentification":
+    def of(cls, fact: OrderedFactorization, compact, witness, b) -> "CellIdentification":
         """The identification of ``b`` by ``fact``, with its residual."""
         residual = fro_norm(_compose(compact, witness, fact.klass) - b)
-        return cls(fact.symbol(tol), compact, witness, residual, fact.boundary_ambiguous, fact)
+        return cls(fact.symbol(), compact, witness, residual, fact.boundary_ambiguous, fact)
 
     def reconstruction(self) -> np.ndarray:
         return _compose(self.compact_part, self.witness, self.symbol.klass)
@@ -97,7 +97,7 @@ def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentificatio
     elem = FiberElement.of(b, "general", tol)
     parts = iwasawa_split(elem, tol)
     fact = factorize_su(parts.unitary, tol)
-    return CellIdentification.of(fact, parts.unitary, parts.solvable, elem.matrix, tol)
+    return CellIdentification.of(fact, parts.unitary, parts.solvable, elem.matrix)
 
 
 _UNDRESS_GATE = 1e-6  # unit-modulus, eigen-cluster and basis-rank gate of exact undressing
@@ -263,7 +263,7 @@ def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentificat
     def peel(compact, e):
         fact = (factorize_skew(compact @ (-jn(n // 2)), tol) if skew  # J^-1 = -J
                 else factorize_symmetric(elem if elem.unitary else compact, tol))
-        return CellIdentification.of(fact, compact, e, mat, tol)
+        return CellIdentification.of(fact, compact, e, mat)
 
     if elem.unitary:
         return peel(mat, np.eye(n, dtype=np.complex128))

@@ -52,7 +52,7 @@ def rows_to_matrix(rows) -> np.ndarray:
     """The matrix of [re, im] rows; its shape is checked by :class:`MatrixDocument`."""
     try:
         return np.array([[complex(float(p[0]), float(p[1])) for p in row] for row in rows])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise DimensionMismatch(f"malformed rows field: {exc}") from None
 
 
@@ -101,7 +101,7 @@ def report_payload(command: str, doc: MatrixDocument, cid, tol) -> dict:
     """Assemble the identification report with a deterministic field order."""
     fact = cid.factorization
     scale = max(1.0, float(np.linalg.norm(doc.rows)))
-    mins = fact.min_indices(tol)
+    mins = fact.min_indices
     invariants = {
         "reconstruction_within_tol": bool(cid.residual <= tol.structure * scale),
         "factorization_within_tol": bool(fact.residual <= tol.structure * doc.n),

@@ -20,7 +20,7 @@ from .factor import (SchubertSymbol, cartan_model_sample, cell_sample, factorize
                      factorize_skew, factorize_su, factorize_symmetric)
 from .milnor import dressing_sample, fiber_sample, identify
 from .numlin import haar_sample, hermitian_inner, jn, pfaffian
-from .rotor import PseudoRotation, apply, jmul, product_matrix, whitehead_interchange
+from .rotor import PseudoRotation, apply, jmul, min_indices, product_matrix, whitehead_interchange
 from .tolerances import DEFAULT_TOL
 
 SUITES = ("rotor", "factor", "milnor", "cohom", "all")
@@ -52,7 +52,9 @@ def class_sizes(n: int, klass: str) -> list[int]:
 
 def check_factorization(klass: str, sizes, trials: int, bound: float, seed: int):
     """Compact-model samples factor into non-trivial factors of increasing
-    min-index, within ``bound * n``; returns the failures and worst residual."""
+    min-index, within ``bound * n``, and the min-indices a factorization
+    carries are those of its factors' axes; returns the failures and worst
+    residual."""
     failures, worst = [], 0.0
     for n in sizes:
         rng = np.random.default_rng(seed + n)
@@ -61,9 +63,12 @@ def check_factorization(klass: str, sizes, trials: int, bound: float, seed: int)
             fact = ENGINES[klass](compact)
             res = float(np.linalg.norm(fact.matrix() - compact))
             worst = max(worst, res)
-            mins = fact.min_indices()
+            mins = fact.min_indices
+            read = tuple(min_indices(np.reshape([f.axis for f in fact.factors], (-1, n))).tolist())
             if res > bound * n:
                 failures.append((klass, n, t, "compact", res))
+            elif mins != read:
+                failures.append((klass, n, t, "carried", mins, read))
             elif (any(x >= y for x, y in zip(mins, mins[1:]))
                   or any(abs(f.theta) < DEFAULT_TOL.tol_angle for f in fact.factors)):
                 failures.append((klass, n, t, "order", mins))

@@ -43,6 +43,8 @@ class TestSerialization:
         rows = [[[1.0, 0.0]] * 3] * 3
         with pytest.raises(SchubertError):  # n is not truncated to 3
             MatrixDocument.from_json(json.dumps({"n": 3.7, "class": "general", "rows": rows}))
+        with pytest.raises(SchubertError, match="malformed rows field"):  # an object, not a pair
+            MatrixDocument.from_json('{"n": 1, "class": "general", "rows": [[{"a": 1}]]}')
 
     def test_canonical_dump_is_deterministic(self):
         payload = {"b": [1.5, 2], "a": None, "flag": True}
@@ -86,6 +88,13 @@ class TestSymbolCommand:
         path.write_text("{not json")
         out = run_cli("symbol", "--in", str(path))
         assert out.returncode == 1
+
+    def test_object_in_rows_exit_1(self, tmp_path):
+        path = tmp_path / "object.json"
+        path.write_text('{"n":1,"class":"general","rows":[[{"a":1}]]}')
+        out = run_cli("symbol", "--in", str(path))
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: malformed rows field") and "Traceback" not in out.stderr
 
     def test_boundary_ambiguous_exit_3(self, tmp_path):
         # an eigen-angle inside the gray zone of the angle threshold

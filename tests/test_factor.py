@@ -97,7 +97,7 @@ class TestFactorizeSU:
             b = numlin.haar_sample(n, "special_unitary", rng)
             f = factorize_su(b)
             assert np.linalg.norm(f.matrix() - b) <= 1e-8 * n
-            mins = f.min_indices()
+            mins = f.min_indices
             assert all(x < y for x, y in zip(mins, mins[1:]))
             assert all(m >= 2 for m in mins)
 
@@ -265,7 +265,7 @@ def _per_factor_su(b, tol=DEFAULT_TOL):
         raise ConvergenceFailure("non-monotone")
     profile, profile_gray = factor._rank_profile(w, tol)
     fact = OrderedFactorization(
-        "general", "increasing", n, tuple(factors),
+        "general", n, tuple(factors), tuple(mins),
         PseudoRotation(phi, e(1, n)) if abs(phi) >= tol.tol_angle else None,
         boundary_ambiguous=gray or profile_gray or profile != mins)
     residual = float(np.linalg.norm(fact.matrix() - b))
@@ -330,7 +330,7 @@ class TestStackedPeel:
         v /= np.linalg.norm(v)
         b = PseudoRotation(-0.9, e(1, 3)).matrix() @ (np.eye(3) - (1 - np.exp(0.9j)) * np.outer(v, v.conj()))
         f = factorize_su(b, tight)
-        assert f.symbol(tight).entries == (3,) and f.residual < 1e-14
+        assert f.symbol().entries == (3,) and f.residual < 1e-14
 
     def test_peels_once(self, monkeypatch):
         calls = []
@@ -393,7 +393,8 @@ def _polar_mins(b, tol=DEFAULT_TOL):
     """The unitary polar factor of ``b`` and the min-indices of its peel."""
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
-    return w, factor._peel_rows(w, tol)[2]
+    axes = rotor.canonical_axis(factor._peel_rows(w, tol)[1], tol)
+    return w, rotor.min_indices(axes, tol).tolist()
 
 
 def _pushed_probes():
@@ -446,7 +447,7 @@ class TestRankCertificate:
                 f = factorize_su(b, tol)
             except SchubertError as exc:
                 return type(exc)
-            return f.boundary_ambiguous, f.symbol(tol).entries, f.residual
+            return f.boundary_ambiguous, f.symbol().entries, f.residual
 
         cases = [(b, tol) for b in _pushed_probes() for tol in TOLERANCES]
         got = [outcome(b, tol) for b, tol in cases]
@@ -539,14 +540,14 @@ class TestDecreasingAndReverse:
             f = factorize_decreasing(b, tol)
             assert f.residual <= bound
             assert np.linalg.norm(f.matrix() - b) <= bound
-            mins = f.min_indices(tol)
+            mins = f.min_indices
             assert list(mins) == sorted(mins, reverse=True)
 
     def test_decreasing_reconstruction(self, rng):
         b = numlin.haar_sample(4, "special_unitary", rng)
         f = factorize_decreasing(b)
         assert np.linalg.norm(f.matrix() - b) <= 1e-9
-        mins = f.min_indices()
+        mins = f.min_indices
         assert all(x > y for x, y in zip(mins, mins[1:]))
 
     def test_residual_is_that_of_the_inverse(self, rng):
@@ -559,8 +560,8 @@ class TestDecreasingAndReverse:
             f, inc = factorize_decreasing(b), factorize_su(b)
             assert abs(f.residual - np.linalg.norm(f.matrix() - b)) <= 1e-14
             assert f.residual <= 1e-10
-            assert sorted(f.min_indices()) == sorted(
-                list(inc.min_indices()) + ([1] if inc.correction is not None else []))
+            assert sorted(f.min_indices) == sorted(
+                list(inc.min_indices) + ([1] if inc.correction is not None else []))
 
     def test_one_unitarity_check_on_a_raw_array(self, monkeypatch):
         calls = []
@@ -638,7 +639,7 @@ class TestSkewEngine:
             b = cartan_model_sample(6, "skew", rng)
             f = factorize_skew(b)
             dec = factorize_decreasing(b)
-            mins = sorted(dec.min_indices())
+            mins = sorted(dec.min_indices)
             assert len(mins) % 2 == 0
             for i in range(len(mins) // 2):
                 assert mins[2 * i] % 2 == 1
@@ -747,7 +748,8 @@ def _per_factor_cartan(m, klass, tol=factor.DEFAULT_TOL):
     n, correction = elem.matrix.shape[0], None
     if halves and halves[0].min_index(tol) == 1:
         correction, halves = PseudoRotation.of_canonical(halves[0].theta, e(1, n)), halves[1:]
-    fact = OrderedFactorization(klass, "increasing", n, tuple(halves), correction,
+    mins = tuple(h.min_index(tol) for h in halves)
+    fact = OrderedFactorization(klass, n, tuple(halves), mins, correction,
                                 boundary_ambiguous=dec.boundary_ambiguous)
     residual = float(np.linalg.norm(fact.matrix() - elem.matrix))
     if residual > tol.structure * n:
@@ -942,3 +944,56 @@ class TestCellMapRoundTrips:
             for _ in range(3):
                 point = cell_sample(sym, rng)
                 assert engine(point).symbol().entries == entries
+
+
+def _read_mins(f):
+    """The min-indices of the factors' axes, read again off the axes."""
+    return tuple(rotor.min_indices(np.reshape([g.axis for g in f.factors], (-1, f.ambient))).tolist())
+
+
+class TestCarriedMinIndices:
+    """A factorization carries the min-indices its engine read, and they are
+    those of its factors' axes."""
+
+    @pytest.mark.parametrize("klass,top", [("general", 6), ("symmetric", 6), ("skew", 3)])
+    @pytest.mark.parametrize("dress", [False, True])
+    def test_planted(self, klass, top, dress):
+        from schubert import cohom
+
+        ambient = 2 * top if klass == "skew" else top
+        for seed, entries in enumerate(cohom.enumerate_symbols(top, klass)):
+            b = milnor.fiber_sample(SchubertSymbol(entries, ambient, klass), seed, dress=dress)
+            f = milnor.identify(b, klass).factorization
+            assert f.min_indices == _read_mins(f), (entries, seed)
+
+    def test_pushed_probes(self):
+        checked = 0
+        for b in _pushed_probes():
+            f = _outcome(factorize_su, b)
+            if not isinstance(f, type):
+                checked += 1
+                assert f.min_indices == _read_mins(f)
+        assert checked > 100
+
+    @pytest.mark.parametrize("klass", verify.ENGINES)
+    @pytest.mark.parametrize("n", (4, 8, 16))
+    def test_haar(self, klass, n):
+        for seed in range(3):
+            compact = cartan_model_sample(n, klass, seed)
+            fiber = numlin.haar_sample(n, verify.FIBER_SAMPLERS[klass], seed)
+            for f in (verify.ENGINES[klass](compact), milnor.identify(fiber, klass).factorization):
+                assert f.min_indices == _read_mins(f), seed
+
+    def test_decreasing(self):
+        inputs = [numlin.haar_sample(n, "special_unitary", n) for n in (2, 5, 9)]
+        inputs += [cell_sample(SchubertSymbol(entries, 7), seed=3) for entries in ((), (3,), (2, 5, 7))]
+        for b in inputs:
+            f = factorize_decreasing(b)
+            assert f.min_indices == _read_mins(f)
+
+    @pytest.mark.parametrize("klass,entries,n", [("general", (2, 4), 4), ("symmetric", (3,), 3),
+                                                 ("skew", (2, 3), 6)])
+    def test_embed(self, klass, entries, n):
+        f = verify.ENGINES[klass](cell_sample(SchubertSymbol(entries, n, klass), 5))
+        g = embed(f, n + (2 if klass == "skew" else 1))
+        assert g.min_indices == f.min_indices == _read_mins(g)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schubert import cohom, milnor, numlin, verify
+from schubert import cohom, factor, milnor, numlin, rotor, serialize, verify
 from schubert.errors import ConvergenceFailure, NotInFiber
 from schubert.factor import (SchubertSymbol, cell_sample, factorize_su, sample_interior_params,
                              schubert_map_sk)
@@ -540,3 +540,32 @@ class TestPublicExceptions:
         b = numlin.haar_sample(6, "sl", rng)
         raw, elem = numlin.iwasawa_split(b), numlin.iwasawa_split(FiberElement(b, "general"))
         assert (raw.unitary == elem.unitary).all() and (raw.solvable == elem.solvable).all()
+
+
+class TestOneMinIndexRead:
+    """An identification reads its min-indices once, in the engine, and the
+    report reads the tuple the factorization carries."""
+
+    @pytest.mark.parametrize("klass,entries,n", [("general", (2, 4), 5), ("symmetric", (3, 4), 5),
+                                                 ("skew", (2, 4), 8)])
+    @pytest.mark.parametrize("tier", ["compact", "dressed", "haar"])
+    def test_min_indices_calls(self, monkeypatch, klass, entries, n, tier):
+        calls = []
+        min_indices = rotor.min_indices
+
+        def counted(rows, tol=DEFAULT_TOL):
+            calls.append(np.shape(rows))
+            return min_indices(rows, tol)
+
+        monkeypatch.setattr(rotor, "min_indices", counted)
+        monkeypatch.setattr(factor, "min_indices", counted)
+        if tier == "haar":
+            b = numlin.haar_sample(n, verify.FIBER_SAMPLERS[klass], 1)
+        else:
+            b = fiber_sample(SchubertSymbol(entries, n, klass), 1, dress=tier == "dressed")
+        cid = identify(b, klass)
+        assert len(calls) == 1, calls
+        calls.clear()
+        doc = serialize.MatrixDocument(n, klass, b)
+        serialize.report_payload("symbol", doc, cid, DEFAULT_TOL)
+        assert calls == []

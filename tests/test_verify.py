@@ -26,6 +26,21 @@ def test_perturbed_factorization_fails(monkeypatch, capsys):
     assert "FAIL\tfactor.reconstruction-general" in capsys.readouterr().out
 
 
+def test_wrong_carried_min_indices_fail(monkeypatch, capsys):
+    """An engine that carries strictly increasing min-indices other than its
+    factors' axes' fails, though it reconstructs and is ordered."""
+    def shift_min_indices(b):
+        fact = factorize_su(b)
+        return dataclasses.replace(fact, min_indices=tuple(m + 1 for m in fact.min_indices))
+
+    monkeypatch.setitem(verify.ENGINES, "general", shift_min_indices)
+    failures, worst = verify.check_factorization("general", [3, 4], 2, 1e-8, 0)
+    assert [f[3] for f in failures] == ["carried"] * 4 and worst < 1e-12
+    assert all(f[4] == tuple(m + 1 for m in f[5]) for f in failures)
+    assert cli.main(["verify", "--suite", "factor", "--n", "2", "--trials", "2"]) == 5
+    assert "FAIL\tfactor.reconstruction-general" in capsys.readouterr().out
+
+
 def test_perturbed_identification_fails(monkeypatch, capsys):
     _wrap_identify(monkeypatch, lambda cid: dataclasses.replace(cid, witness=cid.witness * 1.001))
     failures, worst = verify.check_identification("symmetric", [2, 3], 2, 1e-8, 0)
@@ -47,13 +62,14 @@ def test_wrong_symbol_fails(monkeypatch, capsys):
 
 
 def test_disagreeing_symbols_fail(monkeypatch):
-    """Every other call of the general engine loses its first factor, so
-    B and conj(B) keep their symbol while B^-1 and B^T lose an entry."""
+    """Every other call of the general engine loses its first factor and
+    that factor's min-index, so B and conj(B) keep their symbol while B^-1
+    and B^T lose an entry."""
     calls = itertools.count()
 
     def drop_on_odd_calls(b):
-        fact = factorize_su(b)
-        return dataclasses.replace(fact, factors=fact.factors[next(calls) % 2:])
+        fact, k = factorize_su(b), next(calls) % 2
+        return dataclasses.replace(fact, factors=fact.factors[k:], min_indices=fact.min_indices[k:])
 
     monkeypatch.setattr(verify, "factorize_su", drop_on_odd_calls)
     failures = verify.check_symbol_invariance([3, 4], 2, 0)
