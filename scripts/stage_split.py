@@ -23,8 +23,12 @@ A stage called inside another stage counts as part of the outer one (the
 validation of C^-1 is Iwasawa time); only ``profile`` is timed wherever it
 is called, and its time stays in the stage that called it.  The table
 gives, per class and n, the median over inputs and rounds of each stage
-and of the whole call, in ms.  A lookup point that the imported package
-lacks is skipped, so the script can split an older checkout's ``src`` too.
+and of the whole call, in ms.  A second table gives, per class and n, the
+mean number of calls per identify of ``np.linalg.det``, ``is_unitary``
+(at its numlin, milnor and rotor lookup points, as perfbench/tracer.py
+counts it), ``np.linalg.svd`` and ``np.linalg.qr``, from one untimed call
+per input.  A lookup point that the imported package lacks is skipped, so
+the script can split an older checkout's ``src`` too.
 The benchmark is only read.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/stage_split.py --seed 1 --rounds 30
@@ -44,7 +48,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
-from schubert import factor, milnor  # noqa: E402
+from schubert import factor, milnor, numlin, rotor  # noqa: E402
 from workloads import build_generic, build_planted  # noqa: E402
 
 STAGES = {
@@ -58,6 +62,41 @@ STAGES = {
 }
 INNER = {"profile": [(factor, "_rank_profile"), (factor, "_certifies")]}
 COLUMNS = list(STAGES) + list(INNER) + ["rest", "total"]
+COUNTED = {
+    "det": [(np.linalg, "det")],
+    "is_unitary": [(numlin, "is_unitary"), (milnor, "is_unitary"), (rotor, "is_unitary")],
+    "svd": [(np.linalg, "svd")],
+    "qr": [(np.linalg, "qr")],
+}
+
+
+def _counted(counts: dict, name: str, fn):
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def call_counts(groups: dict) -> None:
+    """Print the mean calls per identify of each COUNTED function, by class and n."""
+    counts: dict[str, int] = defaultdict(int)
+    saved = []
+    for name, points in COUNTED.items():
+        for owner, attr in points:
+            if attr in owner.__dict__:
+                saved.append((owner, attr, owner.__dict__[attr]))
+                setattr(owner, attr, _counted(counts, name, owner.__dict__[attr]))
+    try:
+        print(f"{'':14s}" + "".join(f"{c:>11s}" for c in COUNTED) + "   (calls per identify, mean)")
+        for (klass, n), ops in groups.items():
+            counts.clear()
+            for op in ops:
+                op.run()
+            print(f"{klass:9s} n={n:<3d}" + "".join(f"{counts[c] / len(ops):11.2f}" for c in COUNTED))
+    finally:
+        for owner, attr, original in saved:
+            setattr(owner, attr, original)
 
 
 class StageClock:
@@ -131,6 +170,7 @@ def main() -> None:
     finally:
         for owner, attr, original in saved:
             setattr(owner, attr, original)
+    call_counts(groups)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ validated tuples and the symbols the module builds itself.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import combinations
 from dataclasses import dataclass, field
@@ -193,8 +194,9 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     return ExtElement._trusted(terms, a.ring)
 
 
-def _mono_str(mono: Monomial) -> str:
-    return "1" if not mono else "".join(f"e({m})" for m in mono)
+def _mono_str(mono: Monomial, entry="e({})".format) -> str:
+    """``e(m_1)e(m_2)...``, or "1" for the empty monomial; ``entry`` formats one entry."""
+    return "".join(map(entry, mono)) or "1"
 
 
 def _terms_str(terms) -> str:
@@ -236,7 +238,9 @@ class TensorElement:
 
     def __str__(self) -> str:
         keys = sorted(self.terms, key=lambda k: (len(k[0]), k[0], k[1]))
-        return _terms_str((f"{_mono_str(a)}x{_mono_str(b)}", self.terms[(a, b)]) for a, b in keys)
+        entry = functools.cache("e({})".format)  # each entry's e(m) is built once per call
+        return _terms_str((f"{_mono_str(a, entry)}x{_mono_str(b, entry)}", self.terms[(a, b)])
+                          for a, b in keys)
 
 
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:

@@ -8,9 +8,10 @@ engine reads that factorization off directly, inverting the forward cell
 map: row j of the matrix determines the factor with min-index j, which is
 then peeled off by a rank-1 update, for j = n down to 2.  The peel keeps
 angles and axes in stacked arrays, canonicalises the axes in one call,
-and pseudo-rotation objects are built only for the factorization that is
-returned.  The rank profile of W - I, W the unitary polar factor, names
-the same min-indices with no fitted angle in between; when the two
+which also returns their min-indices, and pseudo-rotation objects are
+built only for the factorization that is returned.  The rank profile of
+W - I, W the unitary polar factor, names the same min-indices with no
+fitted angle in between; when the two
 disagree or a rank is decided in its gray zone, the result is flagged
 boundary-ambiguous.  For a lower cell one QR of W - I, its rows ordered
 by the peel's min-indices, certifies that profile when its margins are
@@ -60,12 +61,11 @@ from .rotor import (
     PseudoRotation,
     apply,  # noqa: F401  (a lookup point of perfbench/tracer.py)
     canonical_angle,
-    canonical_axis,
     jmul,
     min_index,
-    min_indices,
     model_element,
     product_matrix,
+    _canonical_axes,
     _sigma,
 )
 from .tolerances import DEFAULT_TOL, GRAY_SPAN, ToleranceConfig, in_gray_zone
@@ -148,12 +148,17 @@ class OrderedFactorization:
         return _model_matrix(product_matrix(self.all_factors(), self.ambient), self.klass)
 
     def symbol(self) -> SchubertSymbol:
+        """The symbol of the carried min-indices, which the engine has
+        checked (strictly increasing, within the ambient bound), so the
+        symbol is made without validating them again."""
         mins = sorted(self.min_indices)
         if self.klass == "skew":
             entries = tuple((m + 1) // 2 for m in mins)
         else:
             entries = tuple(m for m in mins if m > 1)
-        return SchubertSymbol(entries, self.ambient, self.klass)
+        sym = object.__new__(SchubertSymbol)
+        sym.__dict__.update(entries=entries, ambient=self.ambient, klass=self.klass)
+        return sym
 
 
 def _model_matrix(p: np.ndarray, klass: str) -> np.ndarray:
@@ -235,8 +240,8 @@ def _peel_rows(
             else:
                 y = -jmul(x)
             a, block = 1.0 - cmath.exp(-1j * theta), w[:j, :j]
-            block -= np.outer(a * y, y.conj() @ block)
-            block -= np.outer(block @ x, a * x.conj())
+            block -= (a * y)[:, None] * (y.conj() @ block)
+            block -= (block @ x)[:, None] * (a * x.conj())
         if skew:  # the pair's row j - 1 is now e_(j-1), up to its leftover
             odd = -np.conj(w[j - 2, : j - 1])
             odd[j - 2] += 1.0
@@ -338,7 +343,8 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     the factor is peeled off the right of W by a rank-1 update of the rows
     not yet read; the phase left at W[0, 0] is the min-index-1 correction,
     which is excluded from the Schubert symbol.  The axes are canonicalised
-    together when the peel ends, and only this peel builds PseudoRotations.
+    together when the peel ends, which gives their min-indices with no
+    second read, and only this peel builds PseudoRotations.
 
     The symbol is certified by the rank profile of W - I, which reads the
     min-indices with no fitted angle in between: near a cell boundary the
@@ -358,8 +364,8 @@ def factorize_su(b, tol: ToleranceConfig = DEFAULT_TOL) -> OrderedFactorization:
     u, _, vh = np.linalg.svd(b)
     w = u @ vh
     thetas, axes, _, phi, gray = _peel_rows(w, tol)
-    axes = canonical_axis(axes, tol)
-    mins = min_indices(axes, tol).tolist()
+    axes, mins = _canonical_axes(axes, tol)
+    mins = mins.tolist()
     if any(y <= x for x, y in zip(mins, mins[1:])):
         raise ConvergenceFailure(f"row peeling left non-monotone indices {mins}")
     flag = gray or _profile_flag(w, mins, tol)
@@ -406,9 +412,9 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     coordinate), snapped, and R_i = R_(i-1) A(theta_i, x_i) by one rank-1
     update.  So R ends as the product P of the halves, and P P^T, or
     P sigma(P*), is the one reconstruction.  The axes are canonicalised in
-    one call, and their min-indices must be the rows read.  The result is
-    flagged when a decision of the peel landed in its gray zone, or when
-    the rank profile of W - I (``_certifies`` or ``_rank_profile``)
+    one call, and the min-indices it returns must be the rows read.  The
+    result is flagged when a decision of the peel landed in its gray zone,
+    or when the rank profile of W - I (``_certifies`` or ``_rank_profile``)
     differs from the rows read, both rows of a skew pair and min-index 1
     left out.
     """
@@ -418,7 +424,7 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
     w = u @ vh
     thetas, axes, rows, phi, gray = _peel_rows(w, tol, klass)
     if klass == "symmetric" and abs(phi) >= tol.tol_angle:
-        thetas, axes, rows = np.r_[phi / 2.0, thetas], np.vstack([_e1(n), axes]), [1, *rows]
+        thetas, axes, rows = np.concatenate(([phi / 2.0], thetas)), np.vstack([_e1(n), axes]), [1, *rows]
     r, snap = np.eye(n, dtype=np.complex128), tol.axis_snap
     for i, y in enumerate(axes):
         x = (y.conj() @ r).conj()  # R_(i-1)^-1 y_i = R_(i-1)* y_i
@@ -432,8 +438,8 @@ def _cartan_peel(b, klass: str, tol: ToleranceConfig) -> OrderedFactorization:
         x = x * (np.abs(x) > snap * math.sqrt(np.vdot(x, x).real))
         axes[i] = x = x / math.sqrt(np.vdot(x, x).real)
         r -= ((r @ x) * (1.0 - cmath.exp(1j * thetas[i])))[:, None] * x.conj()
-    axes = canonical_axis(axes, tol)
-    mins = min_indices(axes, tol).tolist()
+    axes, mins = _canonical_axes(axes, tol)
+    mins = mins.tolist()
     if mins != rows:
         raise ConvergenceFailure(f"half factors with min-indices {mins} read off rows {rows}")
     moved = [m for k in rows for m in ((k, k + 1) if klass == "skew" else (k,)) if m > 1]

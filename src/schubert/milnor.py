@@ -16,11 +16,19 @@ sigma(X) = F conj(X) F^-1, in three tiers:
 * congruence fallback: the form is normalized (C^T B C = F), C^-1 = A . E
   Iwasawa-split and the model point A^T F A factorized.
 
-Whether a point is in the compact model is decided once, by the engine's
-model gate (``rotor.model_element``).  An undressing whose compact part the
-gate refuses goes to the congruence fallback, and that result is flagged
-boundary-ambiguous.  Only the adapted eigenbasis, the real projection of
-the symmetric witness, the normalizer and the engine differ by class.
+Each matrix on this path is checked once.  The input is validated where
+it enters (``FiberElement``).  What the transport builds in the compact
+model by construction, the Iwasawa unitary part of the general class, a
+compact skew input's B J^-1 and the fallback's model point A^T F A, goes
+to the engine as a built model element (``FiberElement._in_model``) and
+is not checked again.  So only an undressed compact part meets the
+engine's model gate (``rotor.model_element``), which decides once whether
+it is in the compact model.  An undressing whose compact part the gate
+refuses goes to the congruence fallback, and that result is flagged
+boundary-ambiguous.  The engines take each factor's min-index from their
+canonicalisation of the axes, and the symbol is built from those checked
+indices.  Only the adapted eigenbasis, the real projection of the
+symmetric witness, the normalizer and the engine differ by class.
 """
 from __future__ import annotations
 
@@ -93,10 +101,11 @@ class CellIdentification:
 
 def identify_general(b, tol: ToleranceConfig = DEFAULT_TOL) -> CellIdentification:
     """Schubert cell of an element of SL_n: Iwasawa-split B = A . C and
-    factorize the special unitary part."""
+    factorize the special unitary part, which is special unitary by
+    construction and not checked again."""
     elem = FiberElement.of(b, "general", tol)
     parts = iwasawa_split(elem, tol)
-    fact = factorize_su(parts.unitary, tol)
+    fact = factorize_su(FiberElement._in_model(parts.unitary, "general", tol), tol)
     return CellIdentification.of(fact, parts.unitary, parts.solvable, elem.matrix)
 
 
@@ -252,17 +261,20 @@ def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentificat
     if the engine's model gate takes it, else the congruence fallback
     (C^T B C = F, C^-1 = A . E Iwasawa-split, compact part A^T F A), whose
     result is flagged when an undressing was found.  B = E^T compact E
-    within tolerance in every tier.  Each tier's function is looked up as a
-    module attribute at call time.
+    within tolerance in every tier.  The compact tier's point and the
+    fallback's are built in the model and skip the engine's model gate; an
+    undressed compact part passes it.  Each tier's function is looked up as
+    a module attribute at call time.
     """
     elem = FiberElement.of(b, klass, tol)
     mat = elem.matrix
     n = mat.shape[0]
     skew = klass == "skew"
 
-    def peel(compact, e):
-        fact = (factorize_skew(compact @ (-jn(n // 2)), tol) if skew  # J^-1 = -J
-                else factorize_symmetric(elem if elem.unitary else compact, tol))
+    def peel(compact, e, built=True):
+        m = compact @ (-jn(n // 2)) if skew else compact  # J^-1 = -J
+        m = FiberElement._in_model(m, klass, tol) if built else m  # else the engine's gate decides
+        fact = (factorize_skew if skew else factorize_symmetric)(m, tol)
         return CellIdentification.of(fact, compact, e, mat)
 
     if elem.unitary:
@@ -270,7 +282,7 @@ def _identify_congruence(b, klass: str, tol: ToleranceConfig) -> CellIdentificat
     found = (undress_skew if skew else undress_symmetric)(elem, tol)
     if found is not None:
         with suppress(NotInModel):  # unless the engine's model gate refuses it
-            return peel(*found)
+            return peel(*found, built=False)
     c = (normalize_skew_form if skew else diagonalize_quadratic_form)(elem, tol)
     # det C = 1 is decided (off the normalizer's pivots), so C^-1 enters the split as validated
     parts = iwasawa_split(FiberElement._trusted(np.linalg.inv(c), "general", tol), tol)

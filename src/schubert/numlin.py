@@ -131,6 +131,7 @@ class FiberElement:
     matrix: np.ndarray
     klass: str
     tol: ToleranceConfig = DEFAULT_TOL
+    _model = None  # the Cartan model class of an element the package built in it
 
     def __post_init__(self) -> None:
         check_class(self.klass)
@@ -179,6 +180,17 @@ class FiberElement:
         return elem
 
     @classmethod
+    def _in_model(cls, m: np.ndarray, klass: str, tol: ToleranceConfig) -> "FiberElement":
+        """An element for a matrix ``m`` that the package built in the
+        compact Cartan model of ``klass`` (unitary, det 1, and for the skew
+        class B J^-1 with B skew), made without checks and marked unitary
+        and in that model: the engines' model gate (``rotor.model_element``)
+        takes it as it is."""
+        elem = cls._trusted(m, "symmetric" if klass == "symmetric" else "general", tol)
+        elem.__dict__.update(unitary=True, _model=klass)
+        return elem
+
+    @classmethod
     def of_unitary(cls, b, tol: ToleranceConfig = DEFAULT_TOL) -> "FiberElement":
         """``FiberElement.of(b, "general", tol)`` for a ``b`` that must be
         unitary: NotUnitary comes before NotInFiber, and the answer is kept
@@ -218,18 +230,15 @@ def iwasawa_split(b, tol: ToleranceConfig = DEFAULT_TOL) -> IwasawaParts:
     positive.  The split is unique, so the QR backend is immaterial.
     """
     b = FiberElement.of(b, "general", tol).matrix
-    n = b.shape[0]
     q, r = np.linalg.qr(b)
-    diag = np.diag(r).copy()
-    scale = max(1.0, fro_norm(b))
-    if (np.abs(diag) <= tol.tol_zero * scale).any():
+    diag = np.diag(r)
+    size = np.abs(diag)
+    if (size <= tol.tol_zero * max(1.0, fro_norm(b))).any():
         raise SingularInput("Gram-Schmidt pivot below zero threshold")
-    phases = diag / np.abs(diag)
+    phases = diag / size
     unitary = q * phases[np.newaxis, :]
     solvable = r * np.conj(phases)[:, np.newaxis]
-    # force the diagonal exactly real positive
-    idx = np.arange(n)
-    solvable[idx, idx] = np.abs(diag)
+    np.fill_diagonal(solvable, size)  # exactly real positive
     return IwasawaParts(unitary=unitary, solvable=solvable)
 
 
@@ -321,7 +330,7 @@ def pfaffian(b, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
         if k + 2 < n:
             tau = a[k, k + 2 :] / pivot
             w = a[k + 1, k + 2 :]
-            a[k + 2 :, k + 2 :] += np.outer(w, tau) - np.outer(tau, w)
+            a[k + 2 :, k + 2 :] += w[:, None] * tau - tau[:, None] * w
     return complex(pf)
 
 
@@ -359,7 +368,7 @@ def diagonalize_quadratic_form(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
             t[:, j] += t[:, q]
             t[j] += t[q]
         swaps += _swap(t, 0, j)
-        t[1:, 1:] -= np.outer(t[1:, 0], t[0, 1:] / t[0, 0])
+        t[1:, 1:] -= t[1:, :1] * (t[0, 1:] / t[0, 0])
     root = np.sqrt(g.diagonal())
     c, det = g[n:] / root, (-1) ** swaps / complex(root.prod())
     if not near_one(det, tol):

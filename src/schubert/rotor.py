@@ -88,21 +88,33 @@ def canonical_axis(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Coordinates below the residual tolerance are snapped to zero first:
     they are indistinguishable from zero at the working precision of the
     factorization engines, and keeping them would mint spurious min-indices
-    for axes sitting on a cell boundary.
+    for axes sitting on a cell boundary.  The engines canonicalise their
+    stacked axes through :func:`_canonical_axes`, which also returns the
+    min-indices, so that no engine reads its axes again.
     """
     xv = np.asarray(x, dtype=np.complex128)
-    rows = np.atleast_2d(xv)
+    return _canonical_axes(np.atleast_2d(xv), tol)[0].reshape(xv.shape)
+
+
+def _canonical_axes(rows: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`canonical_axis` of a stack of axes, and their min-indices.
+
+    The min-index coordinate is the last one kept.  A kept coordinate of a
+    unit row exceeds ``axis_snap >= 100 tol_zero`` and the others are 0, so
+    the index is the one :func:`min_indices` reads off the result; the
+    engines take it from here and read no axis again.
+    """
     norm = _row_norms(rows)
     if len(rows) and not tol.tol_zero < norm.min() < math.inf:
         raise ZeroVector("cannot normalize a zero or non-finite axis")
     keep = np.abs(rows) > tol.axis_snap * norm
     rows = rows * keep
     rows /= _row_norms(rows)
-    # the min-index coordinate is the last one kept
-    pivot = rows[np.arange(len(rows)), keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)]
+    last = keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
+    pivot = rows[np.arange(len(rows)), last]
     # hypot, unlike np.abs of a complex array, rounds as abs of a scalar
     phase = pivot.conj() / np.hypot(pivot.real, pivot.imag)
-    return (rows * phase[:, None]).reshape(xv.shape)
+    return rows * phase[:, None], last + 1
 
 
 @dataclass(frozen=True)
@@ -139,10 +151,8 @@ class PseudoRotation:
         return min_index(self.axis, tol)
 
     def matrix(self) -> np.ndarray:
-        x = self.axis
-        return np.eye(self.n, dtype=np.complex128) - (
-            1.0 - np.exp(1j * self.theta)
-        ) * np.outer(x, np.conj(x))
+        x = self.axis[:, None]
+        return np.eye(self.n, dtype=np.complex128) - (1.0 - np.exp(1j * self.theta)) * (x * x.conj().T)
 
     def inverse(self) -> "PseudoRotation":
         return PseudoRotation.of_canonical(-self.theta, self.axis)
@@ -265,13 +275,16 @@ def model_element(b, klass: str, tol: ToleranceConfig = DEFAULT_TOL) -> FiberEle
     """``b`` as an element of the compact Cartan model of the class: in the
     general fiber (the symmetric one for the symmetric class), unitary, and
     for the skew class with B J skew-symmetric.  Skips the checks a
-    FiberElement has passed; any failure raises NotInModel."""
+    FiberElement has passed, and every check for one the package built in
+    the model (``FiberElement._in_model``): the gate is left for a computed
+    compact part, an undressing's.  Any failure raises NotInModel."""
     check_class(klass)
     fiber = "symmetric" if klass == "symmetric" else "general"
     try:
         elem = FiberElement.of(b, fiber, tol)
         m = elem.matrix
-        if klass != "skew" or not len(m) % 2 and is_symmetric(m @ jn(len(m) // 2), tol, skew=True):
+        if (klass != "skew" or elem._model == "skew"  # built in the model: unitary, and B J skew
+                or not len(m) % 2 and is_symmetric(m @ jn(len(m) // 2), tol, skew=True)):
             if elem.unitary:
                 return elem
     except NotInFiber:

@@ -49,10 +49,14 @@ def matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def rows_to_matrix(rows) -> np.ndarray:
-    """The matrix of [re, im] rows; its shape is checked by :class:`MatrixDocument`."""
+    """The matrix of [re, im] rows, each entry a list of two JSON numbers (not
+    booleans or strings); its shape is checked by :class:`MatrixDocument`."""
     try:
+        if not all(type(p) is list and len(p) == 2 and {*map(type, p)} <= {int, float}
+                   for row in rows for p in row):
+            raise TypeError("an entry is not a [re, im] pair of numbers")
         return np.array([[complex(float(p[0]), float(p[1])) for p in row] for row in rows])
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float overflows
         raise DimensionMismatch(f"malformed rows field: {exc}") from None
 
 

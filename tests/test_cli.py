@@ -9,6 +9,10 @@ from schubert import numlin
 from schubert.serialize import MatrixDocument, dump_canonical, fmt17
 
 
+# entries that are not a list of two numbers: a string, a third entry, booleans
+MALFORMED_ENTRIES = ('[["10"]]', "[[[1, 0, 7]]]", "[[[true, false]]]")
+
+
 def run_cli(*args, infile=None):
     cmd = [sys.executable, "-m", "schubert.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
@@ -45,6 +49,9 @@ class TestSerialization:
             MatrixDocument.from_json(json.dumps({"n": 3.7, "class": "general", "rows": rows}))
         with pytest.raises(SchubertError, match="malformed rows field"):  # an object, not a pair
             MatrixDocument.from_json('{"n": 1, "class": "general", "rows": [[{"a": 1}]]}')
+        for rows in (*MALFORMED_ENTRIES, "[[[1" + "0" * 400 + ", 0]]]"):  # an int no float holds
+            with pytest.raises(SchubertError, match="malformed rows field"):
+                MatrixDocument.from_json(f'{{"n": 1, "class": "general", "rows": {rows}}}')
 
     def test_canonical_dump_is_deterministic(self):
         payload = {"b": [1.5, 2], "a": None, "flag": True}
@@ -95,6 +102,14 @@ class TestSymbolCommand:
         out = run_cli("symbol", "--in", str(path))
         assert out.returncode == 1
         assert out.stderr.startswith("error: malformed rows field") and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("rows", MALFORMED_ENTRIES)
+    def test_malformed_entry_exit_1(self, tmp_path, rows):
+        path = tmp_path / "entry.json"
+        path.write_text(f'{{"n":1,"class":"general","rows":{rows}}}')
+        out = run_cli("symbol", "--in", str(path))
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: malformed rows field") and out.stderr.count("\n") == 1
 
     def test_boundary_ambiguous_exit_3(self, tmp_path):
         # an eigen-angle inside the gray zone of the angle threshold

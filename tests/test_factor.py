@@ -350,13 +350,13 @@ class TestStackedPeel:
     def test_canonical_axis_calls(self, monkeypatch, n):
         calls = []
 
-        def counted(x, tol=DEFAULT_TOL):
+        def counted(x, tol):
             calls.append(np.shape(x))
-            return canonical_axis(x, tol)
+            return canonical_axes(x, tol)
 
-        canonical_axis = rotor.canonical_axis
-        monkeypatch.setattr(rotor, "canonical_axis", counted)
-        monkeypatch.setattr(factor, "canonical_axis", counted)
+        canonical_axes = rotor._canonical_axes  # canonical_axis calls it too
+        monkeypatch.setattr(rotor, "_canonical_axes", counted)
+        monkeypatch.setattr(factor, "_canonical_axes", counted)
         for seed in range(3):
             calls.clear()
             factorize_su(numlin.haar_sample(n, "special_unitary", seed))
@@ -369,13 +369,13 @@ class TestStackedPeel:
         they are un-conjugated."""
         calls = []
 
-        def counted(x, tol=DEFAULT_TOL):
+        def counted(x, tol):
             calls.append(np.shape(x))
-            return canonical_axis(x, tol)
+            return canonical_axes(x, tol)
 
-        canonical_axis = rotor.canonical_axis
-        monkeypatch.setattr(rotor, "canonical_axis", counted)
-        monkeypatch.setattr(factor, "canonical_axis", counted)
+        canonical_axes = rotor._canonical_axes  # canonical_axis calls it too
+        monkeypatch.setattr(rotor, "_canonical_axes", counted)
+        monkeypatch.setattr(factor, "_canonical_axes", counted)
         engine = factorize_symmetric if klass == "symmetric" else factorize_skew
         for seed in range(2):
             calls.clear()

@@ -383,6 +383,23 @@ class TestEngineRegressions:
         assert identify(b, klass).symbol.entries == entries
 
 
+def _count_checks(monkeypatch) -> dict:
+    """Counts of np.linalg.det and is_unitary calls (at its numlin, milnor
+    and rotor lookup points), kept up to date while the patches last."""
+    counts = {"det": 0, "unitary": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    for module in (numlin, milnor, rotor):
+        monkeypatch.setattr(module, "is_unitary", counted("unitary", module.is_unitary))
+    return counts
+
+
 class TestValidateOnce:
     """Membership is decided once and passed on: one identify at n = 8
     makes at most this many (np.linalg.det calls, is_unitary calls at the
@@ -407,21 +424,12 @@ class TestValidateOnce:
 
     @pytest.mark.parametrize("klass,tier", sorted(CEILINGS))
     def test_checks_per_identify(self, monkeypatch, klass, tier):
-        from schubert import milnor, rotor
-
         if tier == "haar":
             b = numlin.haar_sample(8, self.HAAR[klass], 1)
         else:
             sym = SchubertSymbol(self.TOPS[klass], 8, klass)
             b = fiber_sample(sym, 1, dress=tier == "dressed")
-        counts = {"det": 0, "unitary": 0}
         undressed = []
-
-        def counted(key, fn):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
 
         def recorded(fn):
             def wrapped(*args, **kwargs):
@@ -430,9 +438,7 @@ class TestValidateOnce:
                 return out
             return wrapped
 
-        monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
-        for module in (numlin, milnor, rotor):
-            monkeypatch.setattr(module, "is_unitary", counted("unitary", module.is_unitary))
+        counts = _count_checks(monkeypatch)
         for name in ("undress_symmetric", "undress_skew"):
             monkeypatch.setattr(milnor, name, recorded(getattr(milnor, name)))
         cid = identify(b, klass)
@@ -444,7 +450,7 @@ class TestValidateOnce:
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_general_boundary_checks(self, monkeypatch, n):
-        # the input and the Iwasawa unitary part, each checked once
+        # the input, checked once at the boundary
         from schubert import rotor, serialize
 
         calls = []
@@ -457,7 +463,44 @@ class TestValidateOnce:
         for module in (numlin, milnor, rotor, serialize):
             monkeypatch.setattr(module, "as_square_matrix", counted)
         identify(numlin.haar_sample(n, "sl", n), "general")
-        assert sum(calls) == 2
+        assert sum(calls) == 1  # the input; the Iwasawa unitary part reaches the engine checked
+
+
+class TestCheckOnce:
+    """Each matrix on identify's path is checked once: the input at the
+    boundary, and of the matrices identify builds only an undressed compact
+    part at the engine's model gate.  The Iwasawa unitary part, a compact
+    skew input's B J^-1 and the fallback's model point reach the engines
+    as built model elements.  Exact (np.linalg.det, is_unitary) calls per
+    identify, is_unitary counted at its numlin, milnor and rotor lookup
+    points."""
+
+    COUNTS = {
+        ("general", "compact"): (1, 0),
+        ("general", "dressed"): (1, 0),
+        ("general", "haar"): (1, 0),
+        ("symmetric", "compact"): (1, 1),  # the input's det and tier
+        ("symmetric", "dressed"): (2, 2),  # the input's, and the gate's on the undressed part
+        ("symmetric", "haar"): (1, 1),
+        ("skew", "compact"): (0, 1),  # Pf decides the input; its tier picks the Pf
+        ("skew", "dressed"): (1, 2),
+        ("skew", "haar"): (0, 1),
+    }
+    TOPS = {"general": (2, 4, 7), "symmetric": (3, 5, 8), "skew": (2, 4)}
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("klass,tier", sorted(COUNTS))
+    def test_checks_per_identify(self, monkeypatch, klass, tier, n):
+        if tier == "haar":
+            b = numlin.haar_sample(n, verify.FIBER_SAMPLERS[klass], 1)
+        else:
+            top = n // 2 if klass == "skew" else n
+            sym = SchubertSymbol(tuple(m for m in self.TOPS[klass] if m <= top), n, klass)
+            b = fiber_sample(sym, 1, dress=tier == "dressed")
+        counts = _count_checks(monkeypatch)
+        cid = identify(b, klass)
+        assert (counts["det"], counts["unitary"]) == self.COUNTS[(klass, tier)], counts
+        assert tier == "haar" or cid.symbol.entries == sym.entries
 
 
 class TestOneEliminationPerInput:
@@ -470,14 +513,14 @@ class TestOneEliminationPerInput:
         det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(1) or det(m))
         identify(b, "symmetric")
-        assert len(calls) == 2  # the input and the engine's model gate; C^-1 is not checked again
+        assert len(calls) == 1  # the input; neither C^-1 nor the model point U^T U is checked again
 
     def test_skew_fallback_det_calls(self, monkeypatch):
         b, calls = numlin.haar_sample(8, "skew_fiber", 3), []
         det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(1) or det(m))
         identify(b, "skew")
-        assert len(calls) == 1  # the engine's model gate; Pf off the elimination decides C^-1
+        assert len(calls) == 0  # Pf off the elimination decides the input and C^-1; U^T J U is built
 
     @pytest.mark.parametrize("tier,eliminations", [("compact", 0), ("dressed", 1), ("haar", 1)])
     def test_skew_eliminations(self, monkeypatch, tier, eliminations):
@@ -543,8 +586,9 @@ class TestPublicExceptions:
 
 
 class TestOneMinIndexRead:
-    """An identification reads its min-indices once, in the engine, and the
-    report reads the tuple the factorization carries."""
+    """An identification takes its min-indices from the engine's
+    canonicalisation and reads no axis again, and the report reads the tuple
+    the factorization carries."""
 
     @pytest.mark.parametrize("klass,entries,n", [("general", (2, 4), 5), ("symmetric", (3, 4), 5),
                                                  ("skew", (2, 4), 8)])
@@ -558,14 +602,12 @@ class TestOneMinIndexRead:
             return min_indices(rows, tol)
 
         monkeypatch.setattr(rotor, "min_indices", counted)
-        monkeypatch.setattr(factor, "min_indices", counted)
         if tier == "haar":
             b = numlin.haar_sample(n, verify.FIBER_SAMPLERS[klass], 1)
         else:
             b = fiber_sample(SchubertSymbol(entries, n, klass), 1, dress=tier == "dressed")
         cid = identify(b, klass)
-        assert len(calls) == 1, calls
-        calls.clear()
+        assert calls == []
         doc = serialize.MatrixDocument(n, klass, b)
         serialize.report_payload("symbol", doc, cid, DEFAULT_TOL)
         assert calls == []

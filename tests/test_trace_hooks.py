@@ -30,6 +30,13 @@ LAYERS = {
     "dressed": COMPACT | {"milnor.undress"},
     "haar": COMPACT | {"milnor.undress", "numlin.congruence", "numlin.iwasawa"},
 }
+# (numlin.det_calls, numlin.unitarity_checks) of each identification: the
+# input's checks, and the model gate's only on an undressed compact part
+CHECKS = {
+    "general": {"compact": (1, 0), "dressed": (1, 0), "haar": (1, 0)},
+    "symmetric": {"compact": (1, 1), "dressed": (2, 2), "haar": (1, 1)},
+    "skew": {"compact": (0, 1), "dressed": (1, 2), "haar": (0, 1)},
+}
 
 
 def _patched_attributes():
@@ -68,5 +75,5 @@ def test_each_tier_passes_its_layers(installed, klass):
         # the Cartan engines peel their input two-sided, with no general engine
         assert "factor.factorize_decreasing" not in fired, tier
         assert klass == "general" or "factor.factorize_su" not in fired, tier
-        assert installed.counts["numlin.det_calls"] > 0
-        assert installed.counts["numlin.unitarity_checks"] > 0
+        counts = installed.counts["numlin.det_calls"], installed.counts["numlin.unitarity_checks"]
+        assert counts == CHECKS[klass][tier], tier
